@@ -27,4 +27,36 @@ from .montecarlo import (DgpConfig, McResult, Summary, block_groups, generate,
                          local_power_curve, run_replications, summarize)
 from .stats import binomial_se, ks_distance, normal_cdf, normal_quantile
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "ConfigError", "DomainError", "Empty", "EmptyGroup", "GroupDrift",
+    "GroupingViolation", "NoConvergence", "NonFinite", "OutOfRange",
+    "PanelVuongError", "ParseError", "RankDeficient", "SingularInformation",
+    "TooSmall", "Unbalanced",
+    # families
+    "LikelihoodFamily", "check_derivatives", "eval_derivatives", "eval_psi",
+    "gaussian_fixed_scale", "gaussian_full_scale",
+    # panel
+    "GroupMap", "PanelData", "TimeGroupMap", "blocks_from_sizes",
+    "group_partition", "groups_from_labels", "individual_groups", "make_panel",
+    "pooled_groups", "single_block", "validate_panel",
+    # estimation
+    "FitResult", "GroupedTimeFit", "ModelSpec", "TwfeFit", "fit_grouped_time",
+    "fit_linear_cells", "fit_model", "fit_profile_mle", "fit_twfe",
+    "foc_residuals",
+    # classic
+    "ClassicComponents", "bias_correction", "classic_components",
+    "mqlr_classic", "omega2_hybrid", "run_classic_test", "s2_gamma_unit",
+    "sigma2_cross_unit", "sigma2_gamma_unit", "variance_components",
+    # twfe
+    "TwfeTestComponents", "bias_hat", "omega2_twfe", "qlr_twfe", "residuals",
+    "run_twfe_test", "sigma2_u_direct", "sigma2_u_regrouped",
+    "twfe_components", "variance_components_twfe",
+    # report
+    "TestReport", "render_csv", "render_json", "to_document",
+    # montecarlo
+    "DgpConfig", "McResult", "Summary", "block_groups", "generate",
+    "local_power_curve", "run_replications", "summarize",
+    # stats
+    "binomial_se", "ks_distance", "normal_cdf", "normal_quantile",
+]

@@ -23,7 +23,8 @@ from .estimation import ModelSpec
 from .families import gaussian_fixed_scale, gaussian_full_scale
 from .montecarlo import (DgpConfig, replications_jsonl, run_replications,
                          size_power_csv, summarize)
-from .panel import GroupMap, PanelData, individual_groups, make_panel
+from .panel import (GroupMap, PanelData, groups_from_labels, individual_groups,
+                    make_panel)
 from .report import file_digest, render_csv, render_json, to_document
 
 FAMILIES = {
@@ -136,14 +137,7 @@ def load_csv(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], d
         "times": {t: i + 1 for i, t in enumerate(times)},
     }
     for col in schema.group_cols:
-        order: dict[str, int] = {}
-        codes = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            lab = group_labels[col][i]
-            if lab not in order:
-                order[lab] = len(order)
-            codes[i] = order[lab]
-        gmaps[col] = GroupMap(codes=codes, G=len(order))
+        gmaps[col], order = groups_from_labels(group_labels[col])
         label_maps[f"groups[{col}]"] = {lab: g + 1 for lab, g in order.items()}
 
     return make_panel(y, x if K else None), gmaps, label_maps

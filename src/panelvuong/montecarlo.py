@@ -34,7 +34,7 @@ from .families import gaussian_fixed_scale
 from .panel import GroupMap, PanelData, individual_groups, make_panel
 from .rng import normals, stream
 from .report import TestReport
-from .stats import binomial_se, ks_distance, normal_cdf, normal_quantile
+from .stats import binomial_se, critical_values, ks_distance, normal_cdf
 from .twfe import run_twfe_test
 
 KINDS = ("A", "B", "C", "D", "E")
@@ -204,8 +204,7 @@ def _run_one(config: DgpConfig, test: str, levels: tuple[float, ...],
             rec.statistic = report.mqlr / omega
             rec.raw_statistic = comp.qlr / omega
             for level in levels:
-                z2 = normal_quantile(1.0 - level / 2.0)
-                z1 = normal_quantile(1.0 - level)
+                z2, z1 = critical_values(level)
                 rec.reject_two[level] = bool(abs(rec.statistic) > z2)
                 rec.reject_one[level] = bool(rec.statistic > z1)
     except PanelVuongError as exc:
@@ -338,4 +337,4 @@ def replications_jsonl(mc: McResult) -> str:
 
 def local_power_curve(c: float, level: float = 0.05) -> float:
     """Limiting one-sided rejection rate at standardized drift c."""
-    return float(1.0 - normal_cdf(normal_quantile(1.0 - level) - c))
+    return float(1.0 - normal_cdf(critical_values(level)[1] - c))

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from . import __version__
-from .stats import normal_cdf, normal_quantile
+from .errors import NonFinite, OutOfRange
+from .stats import critical_values, normal_cdf
 
 SCHEMA_VERSION = 1
 
@@ -45,8 +47,9 @@ def decide(test: str, mqlr: float, omega2: float, level: float,
            components: Any, warnings: list[str]) -> TestReport:
     """Assemble decisions and p-values from a statistic and its variance."""
     if not 0.0 < level < 1.0:
-        from .errors import OutOfRange
         raise OutOfRange(f"significance level must be in (0, 1), got {level}")
+    if not (math.isfinite(mqlr) and math.isfinite(omega2)):
+        raise NonFinite(f"{test} statistic is not finite: mqlr={mqlr}, omega2={omega2}")
     if omega2 < DEGENERACY_REL * max(1.0, mqlr * mqlr):
         return TestReport(
             test=test, level=level, mqlr=mqlr, omega2_hat=omega2,
@@ -56,13 +59,13 @@ def decide(test: str, mqlr: float, omega2: float, level: float,
             components=components, warnings=warnings)
     omega = omega2 ** 0.5
     stat = mqlr / omega
-    z_two = normal_quantile(1.0 - level / 2.0)
-    z_one = normal_quantile(1.0 - level)
+    z_two, z_one = critical_values(level)
+    cdf_abs, cdf = normal_cdf([abs(stat), stat])
     return TestReport(
         test=test, level=level, mqlr=mqlr, omega2_hat=omega2,
         statistic=stat,
-        p_two_sided=float(2.0 * (1.0 - normal_cdf(abs(stat)))),
-        p_one_sided=float(1.0 - normal_cdf(stat)),
+        p_two_sided=float(2.0 * (1.0 - cdf_abs)),
+        p_one_sided=float(1.0 - cdf),
         reject_two=bool(abs(mqlr) > omega * z_two),
         reject_one=bool(mqlr > omega * z_one),
         degenerate=False, degenerate_reason=None,

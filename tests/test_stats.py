@@ -84,3 +84,22 @@ class TestBinomialSe:
     def test_bad_count(self):
         with pytest.raises(OutOfRange):
             binomial_se(0.5, 0)
+
+
+class TestNanPropagates:
+    def test_erfc(self):
+        assert np.isnan(erfc(np.nan))
+        out = erfc(np.array([np.nan, 0.3, -np.nan, 5.0, -1.0]))
+        assert np.isnan(out[[0, 2]]).all()
+        assert np.isfinite(out[[1, 3, 4]]).all()
+
+    def test_normal_cdf(self):
+        assert np.isnan(normal_cdf(np.nan))
+        out = normal_cdf(np.array([[np.nan, 0.0], [-40.0, np.nan]]))
+        assert out.shape == (2, 2)
+        assert np.isnan(out[0, 0]) and np.isnan(out[1, 1])
+        assert out[0, 1] == 0.5
+
+    def test_normal_quantile_rejects_nan(self):
+        with pytest.raises(OutOfRange):
+            normal_quantile(np.array([0.5, np.nan]))
