@@ -45,7 +45,6 @@ class FitResult:
     loglik_obs: np.ndarray     # (n, T) psi at the optimum
     score_gamma: np.ndarray    # (n, T) psi_gamma at the optimum
     info_gamma: np.ndarray     # (G, M) cell averages of psi_gammagamma
-    converged: bool
     iterations: int
     spec: ModelSpec
 
@@ -81,6 +80,26 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
+class _Cells:
+    """Flat (group, block) cell ids ``g * M + m`` over the (n, T) grid, with
+    per-cell segment sums."""
+
+    def __init__(self, gmap: GroupMap, mmap: TimeGroupMap):
+        self.M = mmap.M
+        self.count = gmap.G * mmap.M
+        self.ids = gmap.codes[:, None] * mmap.M + mmap.codes[None, :]
+        self._flat = self.ids.ravel()
+        self.size = np.bincount(self._flat, minlength=self.count).astype(float)
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        """Per-cell sums of an (n, T) array."""
+        return np.bincount(self._flat, weights=a.ravel(), minlength=self.count)
+
+    def label(self, k: int) -> str:
+        """One-based (g, m) of flat cell ``k``."""
+        return f"({k // self.M + 1}, {k % self.M + 1})"
+
+
 def _group_indicator(gmap: GroupMap) -> np.ndarray:
     return (gmap.codes[None, :] == np.arange(gmap.G)[:, None]).astype(float)
 
@@ -99,16 +118,14 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
     if gmap.n != n or mmap.T != T:
         raise RankDeficient(f"group maps cover ({gmap.n}, {mmap.T}), panel is ({n}, {T})")
 
-    cell = (gmap.codes[:, None] * mmap.M + mmap.codes[None, :])
-    ncell = gmap.G * mmap.M
-    counts = np.bincount(cell.ravel(), minlength=ncell).astype(float)
+    cells = _Cells(gmap, mmap)
 
     def cell_mean(a: np.ndarray) -> np.ndarray:
-        return np.bincount(cell.ravel(), weights=a.ravel(), minlength=ncell) / counts
+        return cells.sum(a) / cells.size
 
     if K:
         xm = np.stack([cell_mean(panel.x[:, :, k]) for k in range(K)], axis=1)  # (ncell, K)
-        xdot = panel.x - xm[cell]
+        xdot = panel.x - xm[cells.ids]
         gram = np.einsum("itk,itl->kl", xdot, xdot) / (n * T)
         rhs = np.einsum("itk,it->k", xdot, panel.y) / (n * T)
         theta = _solve_gram(gram, rhs)
@@ -118,7 +135,7 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
         work = panel.y
 
     gamma_flat = cell_mean(work)
-    resid = work - gamma_flat[cell]
+    resid = work - gamma_flat[cells.ids]
     loglik_obs = -0.5 * resid ** 2
     return FitResult(
         theta=theta,
@@ -127,7 +144,6 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
         loglik_obs=loglik_obs,
         score_gamma=resid,
         info_gamma=np.full((gmap.G, mmap.M), -1.0),
-        converged=True,
         iterations=0,
         spec=ModelSpec(gaussian_fixed_scale(K), gmap, mmap),
     )
@@ -186,26 +202,19 @@ def fit_twfe(panel: PanelData) -> TwfeFit:
     return TwfeFit(theta=theta, alpha=alpha, delta=delta, residuals=resid)
 
 
-class _CellView:
-    """Row/column slices of one (group, block) cell."""
-
-    __slots__ = ("rows", "cols", "size")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray):
-        self.rows = rows
-        self.cols = cols
-        self.size = rows.size * cols.size
-
-
 def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                     max_iter: int = 100, inner_tol: float = 1e-12,
                     max_halvings: int = 30) -> FitResult:
     """Profile-Newton quasi-MLE for an arbitrary likelihood family.
 
     For each candidate theta the scalar effect of every (group, block) cell
-    solves its own first-order condition by safeguarded Newton; theta is then
-    updated by Newton on the profiled score with step halving, the Jacobian
-    taken by central differences of the profiled score.
+    solves its own first-order condition by safeguarded Newton, all cells at
+    once: each round evaluates the family once on the whole panel, sums the
+    scores and curvatures per cell and steps the cells not yet converged,
+    each with its own step length.  When the family raises ``DomainError``
+    on a trial point, the step of every cell still pending in that round is
+    halved.  Theta is then updated by Newton on the profiled score with step
+    halving, the Jacobian taken by central differences of the profiled score.
 
     Parameters
     ----------
@@ -234,9 +243,8 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     mmap = spec.time_map(T)
     if gmap.n != n or mmap.T != T:
         raise RankDeficient(f"group maps cover ({gmap.n}, {mmap.T}), panel is ({n}, {T})")
-
-    cells = [[_CellView(gmap.members(g), np.where(mmap.codes == m)[0])
-              for m in range(mmap.M)] for g in range(gmap.G)]
+    cells = _Cells(gmap, mmap)
+    eps = np.finfo(float).eps
 
     if family.init_theta is not None:
         theta = np.asarray(family.init_theta(panel), dtype=float)
@@ -245,75 +253,69 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     if theta.shape != (family.d_theta,):
         raise DomainError(f"init_theta returned shape {theta.shape}, expected ({family.d_theta},)")
 
-    def cell_arrays(cv: _CellView):
-        return panel.y[np.ix_(cv.rows, cv.cols)], panel.x[np.ix_(cv.rows, cv.cols)]
-
     def init_gamma(th: np.ndarray) -> np.ndarray:
-        g0 = np.zeros((gmap.G, mmap.M))
         if family.working_residual is None:
-            return g0
-        work = family.working_residual(panel.y, panel.x, th)
-        for g in range(gmap.G):
-            for m in range(mmap.M):
-                cv = cells[g][m]
-                g0[g, m] = work[np.ix_(cv.rows, cv.cols)].mean()
-        return g0
+            return np.zeros(cells.count)
+        return cells.sum(family.working_residual(panel.y, panel.x, th)) / cells.size
 
-    def solve_cell(yc, xc, th, gam0, size) -> float:
-        eps = np.finfo(float).eps
-        gam = float(gam0)
-        scores = family.psi_gamma(yc, xc, th, gam)
-        s = float(scores.sum())
+    def profile(th: np.ndarray, gam_start: np.ndarray) -> np.ndarray:
+        gam = gam_start.copy()
+        scores = family.psi_gamma(panel.y, panel.x, th, gam[cells.ids])
+        s, s_abs = cells.sum(scores), cells.sum(np.abs(scores))
+        active = np.ones(cells.count, dtype=bool)
         for _ in range(100):
             # a summed score cannot cancel below its own rounding floor
-            floor = max(inner_tol, 8.0 * eps * float(np.abs(scores).sum()))
-            if abs(s) <= floor:
+            floor = np.maximum(inner_tol, 8.0 * eps * s_abs)
+            active &= ~(np.abs(s) <= floor)   # a NaN score stays active
+            if not active.any():
                 return gam
-            h = float(family.psi_gammagamma(yc, xc, th, gam).sum())
-            if abs(h) / size < INFO_FLOOR:
+            h = cells.sum(family.psi_gammagamma(panel.y, panel.x, th, gam[cells.ids]))
+            flat = active & (np.abs(h) / cells.size < INFO_FLOOR)
+            if flat.any():
+                k = int(np.argmax(flat))
                 raise SingularInformation(
-                    f"cell curvature {h / size:.3e} below tolerance while profiling")
-            step = -s / h
-            if abs(step) <= 4.0 * eps * max(1.0, abs(gam)):
-                return gam   # update below the float spacing of the effect
-            lam = 1.0
+                    f"cell {cells.label(k)} curvature {h[k] / cells.size[k]:.3e} "
+                    f"below tolerance while profiling")
+            step = np.zeros(cells.count)
+            step[active] = -s[active] / h[active]
+            # updates below the float spacing of the effect stop that cell
+            active &= ~(np.abs(step) <= 4.0 * eps * np.maximum(1.0, np.abs(gam)))
+            if not active.any():
+                return gam
+            lam = np.where(active, 1.0, 0.0)
+            pending = active.copy()
             for _ in range(max_halvings):
+                trial = gam + lam * step
                 try:
-                    scores_new = family.psi_gamma(yc, xc, th, gam + lam * step)
+                    scores_new = family.psi_gamma(panel.y, panel.x, th, trial[cells.ids])
                 except DomainError:
                     lam *= 0.5
                     continue
-                s_new = float(scores_new.sum())
-                if abs(s_new) < abs(s) or abs(s_new) <= floor:
-                    gam += lam * step
-                    scores, s = scores_new, s_new
+                s_new = cells.sum(scores_new)
+                ok = pending & ((np.abs(s_new) < np.abs(s)) | (np.abs(s_new) <= floor))
+                gam[ok] = trial[ok]
+                s[ok] = s_new[ok]
+                s_abs[ok] = cells.sum(np.abs(scores_new))[ok]
+                pending &= ~ok
+                if not pending.any():
                     break
-                lam *= 0.5
+                lam = np.where(pending, 0.5 * lam, 0.0)
             else:
-                raise NoConvergence(f"cell effect stalled with score {s:.3e}")
-        raise NoConvergence(f"cell effect did not reach tolerance, score {s:.3e}")
-
-    def profile(th: np.ndarray, gam_start: np.ndarray) -> np.ndarray:
-        gam = np.empty_like(gam_start)
-        for g in range(gmap.G):
-            for m in range(mmap.M):
-                cv = cells[g][m]
-                yc, xc = cell_arrays(cv)
-                gam[g, m] = solve_cell(yc, xc, th, gam_start[g, m], cv.size)
-        return gam
-
-    def gamma_field(gam: np.ndarray) -> np.ndarray:
-        return gam[gmap.codes[:, None], mmap.codes[None, :]]
+                k = int(np.argmax(pending))
+                raise NoConvergence(f"cell {cells.label(k)} effect stalled with score {s[k]:.3e}")
+        k = int(np.argmax(active))
+        raise NoConvergence(
+            f"cell {cells.label(k)} effect did not reach tolerance, score {s[k]:.3e}")
 
     def theta_score(th: np.ndarray, gam: np.ndarray) -> np.ndarray:
         if family.d_theta == 0:
             return np.zeros(0)
-        st = family.psi_theta(panel.y, panel.x, th, gamma_field(gam))
+        st = family.psi_theta(panel.y, panel.x, th, gam[cells.ids])
         return st.reshape(-1, family.d_theta).sum(axis=0)
 
     def theta_tol(th: np.ndarray, gam: np.ndarray) -> float:
-        st = family.psi_theta(panel.y, panel.x, th, gamma_field(gam))
-        floor = 8.0 * np.finfo(float).eps * float(
+        st = family.psi_theta(panel.y, panel.x, th, gam[cells.ids])
+        floor = 8.0 * eps * float(
             np.abs(st.reshape(-1, family.d_theta)).sum(axis=0).max())
         return max(tol, floor)
 
@@ -369,33 +371,27 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
         if np.max(np.abs(score)) > theta_tol(theta, gamma):
             raise NoConvergence(f"theta score norm {np.max(np.abs(score)):.3e} above {tol}")
 
-    gfield = gamma_field(gamma)
+    gfield = gamma[cells.ids]
     loglik_obs = family.psi(panel.y, panel.x, theta, gfield)
     score_gamma = family.psi_gamma(panel.y, panel.x, theta, gfield)
-    info_obs = family.psi_gammagamma(panel.y, panel.x, theta, gfield)
-    info = np.empty((gmap.G, mmap.M))
-    eps = np.finfo(float).eps
-    for g in range(gmap.G):
-        for m in range(mmap.M):
-            cv = cells[g][m]
-            info[g, m] = info_obs[np.ix_(cv.rows, cv.cols)].mean()
-            if info[g, m] >= -INFO_FLOOR:
-                raise SingularInformation(
-                    f"cell ({g + 1}, {m + 1}) curvature {info[g, m]:.3e} not negative")
-            cell_scores = score_gamma[np.ix_(cv.rows, cv.cols)]
-            floor = max(tol, 8.0 * eps * float(np.abs(cell_scores).sum()),
-                        4.0 * eps * max(1.0, abs(gamma[g, m])) * abs(info[g, m]) * cv.size)
-            if abs(cell_scores.sum()) > floor:
-                raise NoConvergence(f"cell ({g + 1}, {m + 1}) score above tolerance")
+    info = cells.sum(family.psi_gammagamma(panel.y, panel.x, theta, gfield)) / cells.size
+    flat = info >= -INFO_FLOOR
+    if flat.any():
+        k = int(np.argmax(flat))
+        raise SingularInformation(f"cell {cells.label(k)} curvature {info[k]:.3e} not negative")
+    floor = np.maximum(np.maximum(tol, 8.0 * eps * cells.sum(np.abs(score_gamma))),
+                       4.0 * eps * np.maximum(1.0, np.abs(gamma)) * np.abs(info) * cells.size)
+    off = np.abs(cells.sum(score_gamma)) > floor
+    if off.any():
+        raise NoConvergence(f"cell {cells.label(int(np.argmax(off)))} score above tolerance")
 
     return FitResult(
         theta=theta,
-        gamma=gamma,
+        gamma=gamma.reshape(gmap.G, mmap.M),
         loglik=float(loglik_obs.sum()),
         loglik_obs=loglik_obs,
         score_gamma=score_gamma,
-        info_gamma=info,
-        converged=True,
+        info_gamma=info.reshape(gmap.G, mmap.M),
         iterations=iterations,
         spec=ModelSpec(family, gmap, mmap),
     )
@@ -416,17 +412,11 @@ def fit_model(panel: PanelData, spec: ModelSpec, **opts) -> FitResult:
 def foc_residuals(panel: PanelData, fit: FitResult) -> tuple[float, float]:
     """(theta score inf-norm, max absolute cell score) at the fitted optimum."""
     spec = fit.spec
-    mmap = spec.time_map(panel.T)
-    gfield = fit.gamma[spec.gmap.codes[:, None], mmap.codes[None, :]]
+    cells = _Cells(spec.gmap, spec.time_map(panel.T))
+    gfield = fit.gamma.ravel()[cells.ids]
     max_theta = 0.0
     if spec.family.d_theta:
         st = spec.family.psi_theta(panel.y, panel.x, fit.theta, gfield)
         max_theta = float(np.max(np.abs(st.reshape(-1, spec.family.d_theta).sum(axis=0))))
     sg = spec.family.psi_gamma(panel.y, panel.x, fit.theta, gfield)
-    max_cell = 0.0
-    for g in range(spec.gmap.G):
-        rows = spec.gmap.members(g)
-        for m in range(mmap.M):
-            cols = np.where(mmap.codes == m)[0]
-            max_cell = max(max_cell, abs(float(sg[np.ix_(rows, cols)].sum())))
-    return max_theta, max_cell
+    return max_theta, float(np.max(np.abs(cells.sum(sg))))

@@ -11,7 +11,8 @@ rational functions are evaluated in place in the same per-element order of
 operations as the earlier mask-based form, so every result is bit-identical
 to it (``tests/test_rng.py`` pins digests of draws, quantiles and
 campaigns).  The regime beyond 4 is entered only when an argument reaches
-it.  NaN falls in no regime and propagates.
+it.  NaN falls in no regime and propagates; +inf and -inf take the limits
+(erfc 0 and 2, CDF 1 and 0).
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ def _erfc_positive(y: np.ndarray) -> np.ndarray:
     if rest.size:
         yr = y[rest]
         if yr.max() > 4.0:
-            tail = yr > 4.0
+            # erfc(+inf) is 0; the exp(-y^2) split below would form inf - inf
+            out[rest[yr == np.inf]] = 0.0
+            tail = (yr > 4.0) & (yr < np.inf)
             yl = yr[tail]
             z = yl * yl
             np.divide(1.0, z, out=z)
@@ -109,7 +112,7 @@ def _erfc_positive(y: np.ndarray) -> np.ndarray:
             with np.errstate(under="ignore"):
                 num *= _exp_neg_square(yl)
             out[rest[tail]] = num
-            keep = ~tail
+            keep = yr <= 4.0
             rest, yr = rest[keep], yr[keep]
         num = _horner(yr, _ERFC_MID_NUM)
         num /= _horner(yr, _ERFC_MID_DEN)
@@ -135,7 +138,8 @@ def _normal_cdf_flat(z: np.ndarray) -> np.ndarray:
 
 
 def erfc(x):
-    """Vectorized complementary error function; NaN propagates."""
+    """Vectorized complementary error function; NaN propagates, erfc(+inf) = 0
+    and erfc(-inf) = 2."""
     x = np.asarray(x, dtype=float)
     out = _erfc_flat(x.ravel())
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -143,7 +147,7 @@ def erfc(x):
 
 def normal_cdf(z):
     """Standard normal CDF, accurate to relative 1e-13 on both tails; NaN
-    propagates."""
+    propagates, +inf maps to 1 and -inf to 0."""
     z = np.asarray(z, dtype=float)
     out = _normal_cdf_flat(z.ravel())
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)

@@ -44,7 +44,7 @@ def synthetic_fit(scores, gmap):
     scores = np.asarray(scores, dtype=float)
     return FitResult(theta=np.zeros(0), gamma=np.zeros((gmap.G, 1)), loglik=0.0,
                      loglik_obs=np.zeros_like(scores), score_gamma=scores,
-                     info_gamma=np.full((gmap.G, 1), -1.0), converged=True,
+                     info_gamma=np.full((gmap.G, 1), -1.0),
                      iterations=0, spec=ModelSpec(gaussian_fixed_scale(0), gmap))
 
 

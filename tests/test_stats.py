@@ -1,5 +1,7 @@
 """Normal CDF/quantile against independent scipy references."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,3 +105,22 @@ class TestNanPropagates:
     def test_normal_quantile_rejects_nan(self):
         with pytest.raises(OutOfRange):
             normal_quantile(np.array([0.5, np.nan]))
+
+
+class TestInfinities:
+    def test_limits(self):
+        assert erfc(np.inf) == 0.0 and erfc(-np.inf) == 2.0
+        assert normal_cdf(np.inf) == 1.0 and normal_cdf(-np.inf) == 0.0
+        out = normal_cdf(np.array([-np.inf, 5.0, np.inf, np.nan]))
+        assert out[0] == 0.0 and out[2] == 1.0
+        assert out[1] == normal_cdf(5.0) and np.isnan(out[3])
+
+    def test_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            erfc(np.array([np.inf, -np.inf, 30.0]))
+            normal_cdf(np.array([np.inf, -np.inf]))
+
+    def test_ks_distance_with_infinite_point(self):
+        # the CDF reaches 1 at the top point, so the distance is 1 - cdf(0.1)
+        assert ks_distance([0.1, np.inf]) == pytest.approx(sstats.norm.cdf(0.1))
