@@ -14,14 +14,10 @@ from .panel import (GroupMap, PanelData, TimeGroupMap, blocks_from_sizes,
 from .estimation import (FitResult, GroupedTimeFit, ModelSpec, TwfeFit,
                          fit_grouped_time, fit_linear_cells, fit_model,
                          fit_profile_mle, fit_twfe, foc_residuals)
-from .classic import (ClassicComponents, bias_correction, classic_components,
-                      mqlr_classic, omega2_hybrid, run_classic_test,
-                      s2_gamma_unit, sigma2_cross_unit, sigma2_gamma_unit,
-                      variance_components)
+from .classic import (ClassicComponents, classic_components, omega2_hybrid,
+                      run_classic_test)
 from .twfe import (TwfeTestComponents, bias_hat, omega2_twfe, qlr_twfe,
-                   residuals, run_twfe_test, sigma2_u_direct,
-                   sigma2_u_regrouped, twfe_components,
-                   variance_components_twfe)
+                   run_twfe_test, sigma2_u_direct, twfe_components)
 from .report import TestReport, render_csv, render_json, to_document
 from .montecarlo import (DgpConfig, McResult, Summary, block_groups, generate,
                          local_power_curve, run_replications, summarize)
@@ -45,13 +41,11 @@ __all__ = [
     "fit_linear_cells", "fit_model", "fit_profile_mle", "fit_twfe",
     "foc_residuals",
     # classic
-    "ClassicComponents", "bias_correction", "classic_components",
-    "mqlr_classic", "omega2_hybrid", "run_classic_test", "s2_gamma_unit",
-    "sigma2_cross_unit", "sigma2_gamma_unit", "variance_components",
+    "ClassicComponents", "classic_components", "omega2_hybrid",
+    "run_classic_test",
     # twfe
-    "TwfeTestComponents", "bias_hat", "omega2_twfe", "qlr_twfe", "residuals",
-    "run_twfe_test", "sigma2_u_direct", "sigma2_u_regrouped",
-    "twfe_components", "variance_components_twfe",
+    "TwfeTestComponents", "bias_hat", "omega2_twfe", "qlr_twfe",
+    "run_twfe_test", "sigma2_u_direct", "twfe_components",
     # report
     "TestReport", "render_csv", "render_json", "to_document",
     # montecarlo

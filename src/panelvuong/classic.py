@@ -23,11 +23,9 @@ within-unit moments are rescaled by residual degrees-of-freedom factors
 terms.  Without them the statistic's mean is off by (n - G + K) / (2T)
 log-likelihood units under a nested null of the unit-scale Gaussian family,
 the one built-in family that takes them.
-The statistic (:func:`mqlr_classic`, ``ClassicComponents.mqlr``) and the
-bias corrections and variance terms on :class:`ClassicComponents` are
-dof-rescaled.  The per-unit arrays, ``sigma2_u_raw`` and the term-by-term
-moment helpers (:func:`bias_correction`, :func:`variance_components`,
-:func:`variance_u_regrouped`) keep the raw moments.
+The statistic ``ClassicComponents.mqlr`` and the bias corrections and
+variance terms on :class:`ClassicComponents` are dof-rescaled.  The
+per-unit arrays and ``sigma2_u_raw`` keep the raw moments.
 
 Neither the same-family rule nor the dof factors has been checked against
 the paper's own variance formula, which this repository does not hold
@@ -137,34 +135,6 @@ def _unit_info(fit: FitResult) -> np.ndarray:
     return info[fit.spec.gmap.codes]
 
 
-def _unit_moments(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
-    s = fit.score_gamma
-    return s.mean(axis=1), (s ** 2).mean(axis=1)
-
-
-def sigma2_gamma_unit(fit: FitResult, i: int) -> float:
-    """Per-unit score variance over time, scaled by the group information."""
-    m1, m2 = _unit_moments(fit)
-    return float((m2[i] - m1[i] ** 2) / _unit_info(fit)[i])
-
-
-def s2_gamma_unit(fit: FitResult, i: int) -> float:
-    """Per-unit raw second moment (no demeaning), same scaling."""
-    _, m2 = _unit_moments(fit)
-    return float(m2[i] / _unit_info(fit)[i])
-
-
-def sigma2_cross_unit(fit_1: FitResult, fit_2: FitResult, i: int) -> float:
-    """Squared cross moment of the two models' scores for one unit."""
-    m12 = (fit_1.score_gamma[i] * fit_2.score_gamma[i]).mean()
-    out = float(m12 ** 2 / (_unit_info(fit_1)[i] * _unit_info(fit_2)[i]))
-    bound = s2_gamma_unit(fit_1, i) * s2_gamma_unit(fit_2, i)
-    if out > bound * (1.0 + 1e-9) + 1e-12:
-        raise SingularInformation(
-            f"cross moment {out:.6e} exceeds Cauchy-Schwarz bound {bound:.6e}")
-    return out
-
-
 def dof_factor(fit: FitResult) -> float:
     """Residual degrees-of-freedom factor of the fit's per-unit moments.
 
@@ -194,57 +164,9 @@ def dof_factor(fit: FitResult) -> float:
     return n * T / _residual_dof(n, T, family.d_theta)
 
 
-def _check_individual(fit_1: FitResult) -> None:
-    n = fit_1.score_gamma.shape[0]
-    if fit_1.spec.gmap.G != n:
-        raise GroupingViolation(
-            f"model 1 must give each unit its own group (G = n = {n}), "
-            f"got G = {fit_1.spec.gmap.G}")
-
-
 def _bias(v: np.ndarray, fit: FitResult) -> float:
     sizes = fit.spec.gmap.sizes[fit.spec.gmap.codes]
     return float((v / (2.0 * sizes)).sum())
-
-
-def bias_correction(fit: FitResult) -> float:
-    """Incidental-parameter bias of a maximized joint likelihood, raw.
-
-    Sums each unit's score variance weighted by half the reciprocal of its
-    group size; with individual effects this is half the sum of per-unit
-    variances.  The per-unit variances are the raw (divide-by-T) moments;
-    the statistic subtracts ``dof_factor(fit) * bias_correction(fit)``.
-    """
-    m1, m2 = _unit_moments(fit)
-    return _bias((m2 - m1 ** 2) / _unit_info(fit), fit)
-
-
-def _mqlr(fit_1: FitResult, fit_2: FitResult, r_1: float, r_2: float) -> float:
-    n, T = fit_1.score_gamma.shape
-    return float(((fit_1.loglik - r_1) - (fit_2.loglik - r_2)) / np.sqrt(n * T))
-
-
-def mqlr_classic(fit_1: FitResult, fit_2: FitResult) -> float:
-    """Bias-corrected likelihood-ratio statistic scaled by (nT)^(-1/2).
-
-    Each log-likelihood is reduced by its dof-rescaled bias correction,
-    ``dof_factor(fit) * bias_correction(fit)``; this is the statistic the
-    test reports (``ClassicComponents.mqlr``).
-    """
-    _check_individual(fit_1)
-    return _mqlr(fit_1, fit_2, dof_factor(fit_1) * bias_correction(fit_1),
-                 dof_factor(fit_2) * bias_correction(fit_2))
-
-
-def _unit_terms(fit_1: FitResult, fit_2: FitResult):
-    """Raw per-unit (sigma2_1, sigma2_2, s2_2, sigma2_12)."""
-    info_1 = _unit_info(fit_1)
-    info_2 = _unit_info(fit_2)
-    m1_1, m2_1 = _unit_moments(fit_1)
-    m1_2, m2_2 = _unit_moments(fit_2)
-    m12 = (fit_1.score_gamma * fit_2.score_gamma).mean(axis=1)
-    return ((m2_1 - m1_1 ** 2) / info_1, (m2_2 - m1_2 ** 2) / info_2,
-            m2_2 / info_2, m12 ** 2 / (info_1 * info_2))
 
 
 def _u_and_s(v1, v2, s2, c12, fit_2: FitResult) -> tuple[float, float]:
@@ -260,27 +182,6 @@ def _u_and_s(v1, v2, s2, c12, fit_2: FitResult) -> tuple[float, float]:
     return sigma2_u, sigma2_s
 
 
-def _sigma2_nt(fit_1: FitResult, fit_2: FitResult, mqlr: float) -> float:
-    n, T = fit_1.score_gamma.shape
-    dpsi = fit_1.loglik_obs - fit_2.loglik_obs
-    return float((dpsi ** 2).sum() / (n * T) - mqlr ** 2 / (n * T))
-
-
-def variance_components(fit_1: FitResult, fit_2: FitResult,
-                        mqlr: float) -> tuple[float, float, float]:
-    """Sample variance of the score differences plus the two incidental-
-    parameter variance terms (sigma2_nt, sigma2_u, sigma2_s), raw.
-
-    sigma2_u and sigma2_s are built from the raw per-unit moments, so this
-    sigma2_u is ``ClassicComponents.sigma2_u_raw``; the test uses their
-    dof-rescaled values (:func:`classic_components`).  Both are
-    nonnegative by construction; sigma2_nt may be negative in pathological
-    tiny samples and is reported as computed.
-    """
-    sigma2_u, sigma2_s = _u_and_s(*_unit_terms(fit_1, fit_2), fit_2)
-    return _sigma2_nt(fit_1, fit_2, mqlr), sigma2_u, sigma2_s
-
-
 def omega2_hybrid(sigma2_nt: float, sigma2_u: float, sigma2_s: float) -> float:
     """Hybrid variance: max of the corrected sample variance and sigma2_u.
 
@@ -289,31 +190,6 @@ def omega2_hybrid(sigma2_nt: float, sigma2_u: float, sigma2_s: float) -> float:
     :func:`classic_components`.
     """
     return max(sigma2_nt + sigma2_u - 2.0 * sigma2_s, sigma2_u)
-
-
-def variance_u_regrouped(fit_1: FitResult, fit_2: FitResult) -> float:
-    """Raw sigma2_u in the form that exposes its nonnegativity.
-
-    Expands the group double sum into per-unit squares plus distinct-pair
-    products; the per-unit bracket is a completed square once the squared
-    cross moment obeys Cauchy-Schwarz (exact here because model 1's own
-    first-order condition centers its scores unit by unit).
-    """
-    n, T = fit_1.score_gamma.shape
-    v1, v2, _, c12 = _unit_terms(fit_1, fit_2)
-    codes = fit_2.spec.gmap.codes
-    ng = fit_2.spec.gmap.sizes.astype(float)[codes]
-    sum_v2 = np.bincount(codes, weights=v2, minlength=fit_2.spec.gmap.G)
-    pair_products = v2 * (sum_v2[codes] - v2)   # sum over i' != i within the group
-    per_unit = v1 ** 2 - 2.0 * c12 / ng + (v2 / ng) ** 2
-    return float((per_unit + pair_products / ng ** 2).sum() / (2.0 * n * T))
-
-
-def _same_family(fit_1: FitResult, fit_2: FitResult) -> bool:
-    """Whether model 2 is model 1 with its unit effects restricted within
-    groups: both fits use one family (same name and d_theta)."""
-    f1, f2 = fit_1.spec.family, fit_2.spec.family
-    return f1.name == f2.name and f1.d_theta == f2.d_theta
 
 
 def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
@@ -325,21 +201,35 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
     variance under the null; other pairs take the hybrid max rule.
     """
     n, T = fit_1.score_gamma.shape
-    _check_individual(fit_1)
-    raw = _unit_terms(fit_1, fit_2)
+    if fit_1.spec.gmap.G != n:
+        raise GroupingViolation(
+            f"model 1 must give each unit its own group (G = n = {n}), "
+            f"got G = {fit_1.spec.gmap.G}")
+    info_1 = _unit_info(fit_1)
+    info_2 = _unit_info(fit_2)
+    score_1, score_2 = fit_1.score_gamma, fit_2.score_gamma
+    m1_1, m2_1 = score_1.mean(axis=1), (score_1 ** 2).mean(axis=1)
+    m1_2, m2_2 = score_2.mean(axis=1), (score_2 ** 2).mean(axis=1)
+    m12 = (score_1 * score_2).mean(axis=1)
+    # raw per-unit (sigma2_1, sigma2_2, s2_2, sigma2_12)
+    raw = ((m2_1 - m1_1 ** 2) / info_1, (m2_2 - m1_2 ** 2) / info_2,
+           m2_2 / info_2, m12 ** 2 / (info_1 * info_2))
     # variances and second moments take their own fit's factor, the squared
     # cross moment the product of both, so Cauchy-Schwarz survives rescaling
     a, b = dof_factor(fit_1), dof_factor(fit_2)
     v1, v2, s2, c12 = a * raw[0], b * raw[1], b * raw[2], (a * b) * raw[3]
 
     qlr = float((fit_1.loglik - fit_2.loglik) / np.sqrt(n * T))
-    # same operations as mqlr_classic, so both give the same statistic
     r_1 = a * _bias(raw[0], fit_1)
     r_2 = b * _bias(raw[1], fit_2)
-    mqlr = _mqlr(fit_1, fit_2, r_1, r_2)
-    sigma2_nt = _sigma2_nt(fit_1, fit_2, mqlr)
+    mqlr = float(((fit_1.loglik - r_1) - (fit_2.loglik - r_2)) / np.sqrt(n * T))
+    dpsi = fit_1.loglik_obs - fit_2.loglik_obs
+    sigma2_nt = float((dpsi ** 2).sum() / (n * T) - mqlr ** 2 / (n * T))
     sigma2_u, sigma2_s = _u_and_s(v1, v2, s2, c12, fit_2)
-    nested = _same_family(fit_1, fit_2)
+    # model 2 is model 1 with its unit effects restricted within groups
+    # when both fits use one family (same name and d_theta)
+    f1, f2 = fit_1.spec.family, fit_2.spec.family
+    nested = f1.name == f2.name and f1.d_theta == f2.d_theta
 
     return ClassicComponents(
         sigma2_1=raw[0],

@@ -307,34 +307,30 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
         raise NoConvergence(
             f"cell {cells.label(k)} effect did not reach tolerance, score {s[k]:.3e}")
 
-    def theta_score(th: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    def theta_score(th: np.ndarray, gam: np.ndarray) -> tuple[np.ndarray, float]:
+        """Profiled theta score and its stopping tolerance, from one family call."""
         if family.d_theta == 0:
-            return np.zeros(0)
-        st = family.psi_theta(panel.y, panel.x, th, gam[cells.ids])
-        return st.reshape(-1, family.d_theta).sum(axis=0)
-
-    def theta_tol(th: np.ndarray, gam: np.ndarray) -> float:
-        st = family.psi_theta(panel.y, panel.x, th, gam[cells.ids])
-        floor = 8.0 * eps * float(
-            np.abs(st.reshape(-1, family.d_theta)).sum(axis=0).max())
-        return max(tol, floor)
+            return np.zeros(0), tol
+        st = family.psi_theta(panel.y, panel.x, th, gam[cells.ids]).reshape(-1, family.d_theta)
+        # a summed score cannot cancel below its own rounding floor
+        return st.sum(axis=0), max(tol, 8.0 * eps * float(np.abs(st).sum(axis=0).max()))
 
     gamma = profile(theta, init_gamma(theta))
-    score = theta_score(theta, gamma)
+    score, score_tol = theta_score(theta, gamma)
     iterations = 0
     theta_scale = float(np.max(np.abs(theta))) if theta.size else 0.0
 
     if family.d_theta:
         for iterations in range(1, max_iter + 1):
-            if np.max(np.abs(score)) <= theta_tol(theta, gamma):
+            if np.max(np.abs(score)) <= score_tol:
                 break
             jac = np.empty((family.d_theta, family.d_theta))
             for k in range(family.d_theta):
                 h = 1e-6 * max(1.0, abs(theta[k]))
                 dk = np.zeros_like(theta)
                 dk[k] = h
-                sp = theta_score(theta + dk, profile(theta + dk, gamma))
-                sm = theta_score(theta - dk, profile(theta - dk, gamma))
+                sp = theta_score(theta + dk, profile(theta + dk, gamma))[0]
+                sm = theta_score(theta - dk, profile(theta - dk, gamma))[0]
                 jac[:, k] = (sp - sm) / (2.0 * h)
             try:
                 step = np.linalg.solve(jac, -score)
@@ -346,13 +342,13 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                 try:
                     theta_new = theta + lam * step
                     gamma_new = profile(theta_new, gamma)
-                    score_new = theta_score(theta_new, gamma_new)
+                    score_new, tol_new = theta_score(theta_new, gamma_new)
                 except DomainError:
                     lam *= 0.5
                     continue
                 if np.max(np.abs(score_new)) < np.max(np.abs(score)) \
                         or np.max(np.abs(score_new)) <= tol:
-                    theta, gamma, score = theta_new, gamma_new, score_new
+                    theta, gamma, score, score_tol = theta_new, gamma_new, score_new, tol_new
                     break
                 lam *= 0.5
             else:
@@ -368,7 +364,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                     f"likelihood appears degenerate")
         else:
             raise NoConvergence(f"outer iteration limit {max_iter} reached")
-        if np.max(np.abs(score)) > theta_tol(theta, gamma):
+        if np.max(np.abs(score)) > score_tol:
             raise NoConvergence(f"theta score norm {np.max(np.abs(score)):.3e} above {tol}")
 
     gfield = gamma[cells.ids]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -220,10 +221,13 @@ def run_replications(config: DgpConfig, test: str | None = None,
     The result is a pure function of (config, levels, reps): replication r
     draws only from streams keyed by (master_seed, r), and records are merged
     in replication order, so ``n_jobs`` changes wall time but never output.
+    At most one worker thread per CPU core runs.
     Failed replications are recorded, not fatal, unless they exceed 1%.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     levels = tuple(float(p) for p in levels)
     if any(not 0.0 < p < 1.0 for p in levels) or not levels:
         raise ConfigError(f"levels must lie in (0, 1), got {levels}")
@@ -235,10 +239,11 @@ def run_replications(config: DgpConfig, test: str | None = None,
         raise ConfigError(
             f"kind {config.kind} pairs with the {config.test} test, not {test}")
 
-    if n_jobs <= 1:
+    workers = min(n_jobs, os.cpu_count() or 1, reps)
+    if workers == 1:
         records = [_run_one(config, test, levels, r) for r in range(reps)]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda r: _run_one(config, test, levels, r),
                                     range(reps)))
     records.sort(key=lambda rec: rec.rep)

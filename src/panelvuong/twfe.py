@@ -68,16 +68,6 @@ class TwfeTestComponents:
         }
 
 
-def residuals(panel: PanelData, fit) -> np.ndarray:
-    """Residual array of a grouped-time or two-way fit on its panel."""
-    if not isinstance(fit, (GroupedTimeFit, TwfeFit)):
-        raise TypeError(f"expected GroupedTimeFit or TwfeFit, got {type(fit).__name__}")
-    if fit.residuals.shape != panel.y.shape:
-        raise GroupingViolation(
-            f"fit residuals {fit.residuals.shape} do not match panel ({panel.n}, {panel.T})")
-    return fit.residuals
-
-
 def qlr_twfe(resid_1: np.ndarray, resid_2: np.ndarray) -> float:
     """Scaled squared-residual contrast; positive favors model 1."""
     n, T = resid_1.shape
@@ -110,38 +100,6 @@ def bias_hat(sigma2_1: np.ndarray, sigma2_2: np.ndarray, gmap: GroupMap,
     return float(bracket.sum() / (2.0 * np.sqrt(n * T)))
 
 
-def variance_components_twfe(resid_1: np.ndarray, resid_2: np.ndarray,
-                             mqlr: float, gmap: GroupMap,
-                             dof_corrected: bool = True) -> tuple[float, float]:
-    """(sigma2_nt, sigma2_u): sample variance of the squared-residual
-    contrast and the incidental-parameter variance term.
-
-    sigma2_u is nonnegative for any input by the regrouped decomposition
-    (see :func:`sigma2_u_regrouped`); sigma2_nt may be tiny-negative in
-    pathological samples and is not clamped.
-    """
-    n, T = resid_1.shape
-    d = resid_2 ** 2 - resid_1 ** 2
-    sigma2_nt = float((d ** 2).sum() / (4.0 * n * T) - mqlr ** 2 / (n * T))
-    v1, v2, v12 = unit_moments(resid_1, resid_2, gmap, dof_corrected)
-    return sigma2_nt, sigma2_u_direct(v1, v2, v12, gmap, T)
-
-
-def unit_moments(resid_1: np.ndarray, resid_2: np.ndarray, gmap: GroupMap,
-                 dof_corrected: bool = True):
-    """Per-unit (sigma2_1, sigma2_2, sigma12), optionally dof-rescaled."""
-    n, T = resid_1.shape
-    v1 = (resid_1 ** 2).mean(axis=1)
-    v2 = (resid_2 ** 2).mean(axis=1)
-    v12 = (resid_1 * resid_2).mean(axis=1)
-    if dof_corrected:
-        a, b = dof_factors(gmap, n, T)
-        v1 = v1 * a
-        v2 = v2 * b
-        v12 = v12 * np.sqrt(a * b)
-    return v1, v2, v12
-
-
 def _group_sums(v1, v2, v12, gmap: GroupMap):
     if np.asarray(v1).shape != (gmap.n,):
         raise GroupingViolation(f"per-unit array has shape {np.asarray(v1).shape}, "
@@ -154,7 +112,11 @@ def _group_sums(v1, v2, v12, gmap: GroupMap):
 
 def sigma2_u_direct(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
                     gmap: GroupMap, T: int) -> float:
-    """Incidental-parameter variance term, term by term as displayed."""
+    """Incidental-parameter variance term, term by term as displayed.
+
+    Nonnegative for any input: an algebraically equal regrouping splits it
+    into brackets that are nonnegative by Cauchy-Schwarz.
+    """
     n = gmap.n
     sizes = gmap.sizes.astype(float)
     s1, s2, s12 = _group_sums(v1, v2, v12, gmap)
@@ -163,26 +125,6 @@ def sigma2_u_direct(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
         + (s1 ** 2 / sizes ** 2).sum() / (2.0 * n)
         + s2.sum() ** 2 / (2.0 * n ** 3)
         - (s12 ** 2 / sizes).sum() / n ** 2
-    )
-
-
-def sigma2_u_regrouped(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
-                       gmap: GroupMap, T: int) -> float:
-    """Algebraically equal form exposing nonnegativity.
-
-    Splits the square of the model-2 total into cross-group products plus
-    per-group squares, then completes each group's square; both remaining
-    brackets are nonnegative by Cauchy-Schwarz, so the whole expression is.
-    """
-    n = gmap.n
-    sizes = gmap.sizes.astype(float)
-    s1, s2, s12 = _group_sums(v1, v2, v12, gmap)
-    cross_pairs = (s2.sum() ** 2 - (s2 ** 2).sum()) / 2.0
-    bracket = (s1 / sizes - s2 / n) ** 2 + 2.0 * (s1 * s2 - s12 ** 2) / (sizes * n)
-    return float(
-        (np.asarray(v2) ** 2).sum() / (2.0 * n * T)
-        + cross_pairs / n ** 3
-        + bracket.sum() / (2.0 * n)
     )
 
 
@@ -206,16 +148,28 @@ def run_twfe_test(panel: PanelData, gmap: GroupMap,
 
 def twfe_components(panel: PanelData, fit_1: GroupedTimeFit, fit_2: TwfeFit,
                     gmap: GroupMap) -> TwfeTestComponents:
+    """Statistic and variance of the twfe test from one per-unit moment pass.
+
+    sigma2_nt may be tiny-negative in pathological samples and is not
+    clamped.
+    """
     n, T = panel.n, panel.T
-    e1 = residuals(panel, fit_1)
-    e2 = residuals(panel, fit_2)
+    e1, e2 = fit_1.residuals, fit_2.residuals
+    for e in (e1, e2):
+        if e.shape != panel.y.shape:
+            raise GroupingViolation(
+                f"fit residuals {e.shape} do not match panel ({n}, {T})")
     qlr = qlr_twfe(e1, e2)
 
-    raw1, raw2, raw12 = unit_moments(e1, e2, gmap, dof_corrected=False)
-    c1, c2, _ = unit_moments(e1, e2, gmap, dof_corrected=True)
+    # per-unit (sigma2_1, sigma2_2, sigma12), raw and then dof-rescaled
+    raw1, raw2, raw12 = (e1 ** 2).mean(axis=1), (e2 ** 2).mean(axis=1), (e1 * e2).mean(axis=1)
+    a, b = dof_factors(gmap, n, T)
+    c1, c2, c12 = raw1 * a, raw2 * b, raw12 * np.sqrt(a * b)
     bias = bias_hat(c1, c2, gmap, T)
     mqlr = qlr - bias
-    sigma2_nt, sigma2_u = variance_components_twfe(e1, e2, mqlr, gmap, dof_corrected=True)
+    d = e2 ** 2 - e1 ** 2
+    sigma2_nt = float((d ** 2).sum() / (4.0 * n * T) - mqlr ** 2 / (n * T))
+    sigma2_u = sigma2_u_direct(c1, c2, c12, gmap, T)
     sigma2_u_raw = sigma2_u_direct(raw1, raw2, raw12, gmap, T)
     omega2 = omega2_twfe(sigma2_nt, sigma2_u)
 

@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_groups, random_panel
-from panelvuong import (ModelSpec, bias_correction, classic_components,
-                        fit_model, gaussian_fixed_scale, gaussian_full_scale,
-                        individual_groups, make_panel, mqlr_classic,
-                        omega2_hybrid, pooled_groups, run_classic_test,
-                        s2_gamma_unit, sigma2_cross_unit, sigma2_gamma_unit,
-                        variance_components)
-from panelvuong.classic import (MAX_RULE_NOTE, NESTED_NOTE, dof_factor,
-                                variance_u_regrouped)
+from oracles import (bias_correction, mqlr_classic, s2_gamma_unit,
+                     sigma2_cross_unit, sigma2_gamma_unit, variance_components,
+                     variance_u_regrouped)
+from panelvuong import (ModelSpec, classic_components, fit_model,
+                        gaussian_fixed_scale, gaussian_full_scale,
+                        individual_groups, make_panel, omega2_hybrid,
+                        pooled_groups, run_classic_test)
+from panelvuong.classic import MAX_RULE_NOTE, NESTED_NOTE, dof_factor
 from panelvuong import normal_quantile
 from panelvuong.cli import main
 from panelvuong.errors import GroupingViolation, TooSmall
@@ -51,70 +51,93 @@ def synthetic_fit(scores, gmap):
 class TestPerUnitComponents:
     def test_sigma2_plus_minus_residuals(self):
         panel = plus_minus_panel(4)
-        fit1, _ = fit_pair(panel, pooled_groups(4))
+        fit1, fit2 = fit_pair(panel, pooled_groups(4))
+        comp = classic_components(fit1, fit2)
         for i in range(4):
             assert sigma2_gamma_unit(fit1, i) == pytest.approx(1.0)
+            assert sigma2_gamma_unit(fit1, i) == pytest.approx(comp.sigma2_1[i])
 
     def test_sigma2_constant_residuals(self):
         panel = make_panel(np.outer(np.arange(4.0), np.ones(3)))
-        fit1, _ = fit_pair(panel, pooled_groups(4))
+        fit1, fit2 = fit_pair(panel, pooled_groups(4))
+        comp = classic_components(fit1, fit2)
         for i in range(4):
             assert sigma2_gamma_unit(fit1, i) == 0.0
+            assert comp.sigma2_1[i] == 0.0
 
     def test_model1_foc_makes_s2_equal_sigma2(self, rng):
         panel = random_panel(rng, 6, 5, 0)
         fit1, _ = fit_pair(panel, pooled_groups(6))
+        # model 1 in the model-2 slot: the report's s2_2 and sigma2_2 are its
+        comp = classic_components(fit1, fit1)
         for i in range(6):
-            assert s2_gamma_unit(fit1, i) == pytest.approx(sigma2_gamma_unit(fit1, i))
+            assert s2_gamma_unit(fit1, i) == pytest.approx(comp.s2_2[i])
+            assert comp.s2_2[i] == pytest.approx(comp.sigma2_2[i])
+            assert sigma2_gamma_unit(fit1, i) == pytest.approx(comp.sigma2_2[i])
 
     def test_s2_gap_from_nonzero_mean(self):
         # group mean zero but unit means +-1: model-2 scores (1,1) and (-1,-1)
         panel = make_panel(np.array([[1.0, 1.0], [-1.0, -1.0]]))
-        _, fit2 = fit_pair(panel, pooled_groups(2))
+        fit1, fit2 = fit_pair(panel, pooled_groups(2))
+        comp = classic_components(fit1, fit2)
         assert s2_gamma_unit(fit2, 0) == pytest.approx(1.0)
         assert sigma2_gamma_unit(fit2, 0) == pytest.approx(0.0)
+        assert s2_gamma_unit(fit2, 0) == pytest.approx(comp.s2_2[0])
+        assert sigma2_gamma_unit(fit2, 0) == pytest.approx(comp.sigma2_2[0], abs=1e-15)
 
     def test_s2_all_zero(self):
         panel = make_panel(np.outer(np.arange(3.0), np.ones(3)))
         fit1, _ = fit_pair(panel, individual_groups(3))
         assert s2_gamma_unit(fit1, 0) == 0.0
+        assert classic_components(fit1, fit1).s2_2[0] == 0.0
 
     def test_cross_identical_fits_is_sigma4(self, rng):
         panel = random_panel(rng, 5, 6, 0)
         fit1, fit2 = fit_pair(panel, individual_groups(5))
+        comp = classic_components(fit1, fit2)
         for i in range(5):
             assert sigma2_cross_unit(fit1, fit2, i) == pytest.approx(
                 sigma2_gamma_unit(fit1, i) ** 2)
+            assert sigma2_cross_unit(fit1, fit2, i) == pytest.approx(comp.sigma2_12[i])
+            assert comp.sigma2_12[i] == pytest.approx(comp.sigma2_1[i] ** 2)
 
     def test_cross_orthogonal_scores(self):
         # score sequences (1,-1) and (1,1) have inner product zero
         fit1 = synthetic_fit([[1.0, -1.0], [-1.0, 1.0]], individual_groups(2))
         fit2 = synthetic_fit([[1.0, 1.0], [-1.0, -1.0]], pooled_groups(2))
         assert sigma2_cross_unit(fit1, fit2, 0) == pytest.approx(0.0)
+        assert classic_components(fit1, fit2).sigma2_12[0] == pytest.approx(0.0)
 
     def test_cross_zero_scores(self):
         panel = make_panel(np.outer(np.arange(3.0), np.ones(2)))
         fit1, fit2 = fit_pair(panel, individual_groups(3))
         assert sigma2_cross_unit(fit1, fit2, 0) == 0.0
+        assert classic_components(fit1, fit2).sigma2_12[0] == 0.0
 
 
 class TestBiasCorrection:
     def test_individual_model_half_sum(self):
         panel = plus_minus_panel(10)
-        fit1, _ = fit_pair(panel, pooled_groups(10))
+        fit1, fit2 = fit_pair(panel, pooled_groups(10))
         # all per-unit variances are 1, so the sum is n/2
         assert bias_correction(fit1) == pytest.approx(5.0)
+        comp = classic_components(fit1, fit2)
+        assert comp.r_1 == pytest.approx(dof_factor(fit1) * bias_correction(fit1), rel=1e-12)
 
     def test_single_group_of_size_n(self):
         panel = plus_minus_panel(10)
-        _, fit2 = fit_pair(panel, pooled_groups(10))
+        fit1, fit2 = fit_pair(panel, pooled_groups(10))
         assert np.allclose([sigma2_gamma_unit(fit2, i) for i in range(10)], 1.0)
         assert bias_correction(fit2) == pytest.approx(0.5)
+        comp = classic_components(fit1, fit2)
+        assert np.allclose(comp.sigma2_2, 1.0)
+        assert comp.r_2 == pytest.approx(dof_factor(fit2) * bias_correction(fit2), rel=1e-12)
 
     def test_zero_residual_panel(self):
         panel = make_panel(np.outer(np.arange(4.0), np.ones(3)))
-        fit1, _ = fit_pair(panel, individual_groups(4))
+        fit1, fit2 = fit_pair(panel, individual_groups(4))
         assert bias_correction(fit1) == 0.0
+        assert classic_components(fit1, fit2).r_1 == 0.0
 
 
 class TestMqlr:
@@ -122,6 +145,7 @@ class TestMqlr:
         panel = random_panel(rng, 6, 5, 0)
         fit1, fit2 = fit_pair(panel, individual_groups(6))
         assert mqlr_classic(fit1, fit2) == 0.0
+        assert classic_components(fit1, fit2).mqlr == 0.0
 
     def test_grouping_violation(self, rng):
         panel = random_panel(rng, 6, 5, 0)
@@ -131,6 +155,8 @@ class TestMqlr:
                                           individual_groups(6)))
         with pytest.raises(GroupingViolation):
             mqlr_classic(fit_coarse, fit2)
+        with pytest.raises(GroupingViolation):
+            classic_components(fit_coarse, fit2)
 
     def test_sign_favors_model_one_under_heterogeneity(self, rng):
         # strong within-group heterogeneity: the individual model fits better
@@ -139,23 +165,28 @@ class TestMqlr:
         y = alpha[:, None] + rng.normal(0, 1.0, (n, T))
         fit1, fit2 = fit_pair(make_panel(y), random_groups(rng, n, 4))
         assert mqlr_classic(fit1, fit2) > 0
+        assert classic_components(fit1, fit2).mqlr == mqlr_classic(fit1, fit2)
 
 
 class TestVarianceComponents:
     def test_identical_models_all_zero(self, rng):
         panel = random_panel(rng, 6, 5, 0)
         fit1, fit2 = fit_pair(panel, individual_groups(6))
-        s_nt, s_u, s_s = variance_components(fit1, fit2, 0.0)
+        comp = classic_components(fit1, fit2)
+        s_nt, s_u, s_s = variance_components(fit1, fit2, comp.mqlr)
         assert s_nt == pytest.approx(0.0, abs=1e-14)
         assert s_u == pytest.approx(0.0, abs=1e-14)
         assert s_s == pytest.approx(0.0, abs=1e-14)
+        assert comp.sigma2_nt == s_nt
+        for value in (comp.sigma2_u, comp.sigma2_u_raw, comp.sigma2_s):
+            assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_regrouped_identity(self, rng):
         panel = random_panel(rng, 50, 50, 0)
         fit1, fit2 = fit_pair(panel, random_groups(rng, 50, 6))
-        mqlr = mqlr_classic(fit1, fit2)
-        _, s_u, _ = variance_components(fit1, fit2, mqlr)
-        assert variance_u_regrouped(fit1, fit2) == pytest.approx(s_u, abs=1e-12, rel=1e-12)
+        comp = classic_components(fit1, fit2)
+        assert variance_u_regrouped(fit1, fit2) == pytest.approx(
+            comp.sigma2_u_raw, abs=1e-12, rel=1e-12)
 
     def test_orthogonal_scores_s_formula(self):
         # per-unit score sequences orthogonal across models: the cross terms
@@ -167,6 +198,7 @@ class TestVarianceComponents:
         fit2 = synthetic_fit(scores2, gmap2)
         cross = np.array([sigma2_cross_unit(fit1, fit2, i) for i in range(4)])
         assert np.allclose(cross, 0.0, atol=1e-14)
+        comp = classic_components(fit1, fit2)
         _, _, s_s = variance_components(fit1, fit2, 0.0)
         n, T = 4, 2
         v1 = np.array([sigma2_gamma_unit(fit1, i) for i in range(4)])
@@ -176,6 +208,10 @@ class TestVarianceComponents:
         group_s2 = np.array([s2[:2].sum(), s2[:2].sum(), s2[2:].sum(), s2[2:].sum()])
         expected = (v1 ** 2 + v2 * group_s2 / sizes ** 2).sum() / (2 * n * T)
         assert s_s == pytest.approx(expected)
+        # the report's sigma2_s carries each fit's dof factor
+        a, b = dof_factor(fit1), dof_factor(fit2)
+        expected = ((a * v1) ** 2 + b ** 2 * v2 * group_s2 / sizes ** 2).sum() / (2 * n * T)
+        assert comp.sigma2_s == pytest.approx(expected)
 
 
 class TestOmega2Hybrid:

@@ -462,3 +462,24 @@ class TestCellCountIndependence:
             fit = fit_profile_mle(panel, spec)
             per_g[G] = (fit.iterations, calls)
         assert per_g[5] == per_g[50]
+
+
+class TestThetaScoreOnce:
+    @pytest.mark.parametrize("family", [gaussian_fixed_scale(1), gaussian_full_scale(1)],
+                             ids=["fixed_scale", "full_scale"])
+    def test_psi_theta_never_repeats_a_point(self, rng, family):
+        # deterministic guard on the cost: the stopping tolerance comes from
+        # the same family call as the score it bounds
+        panel = random_panel(rng, 30, 10, 1)
+        points = []
+        inner = family.psi_theta
+
+        def psi_theta(y, x, theta, gamma):
+            points.append((theta.tobytes(), gamma.tobytes()))
+            return inner(y, x, theta, gamma)
+        spec = ModelSpec(dataclasses.replace(family, psi_theta=psi_theta),
+                         block_groups(30, 5))
+        fit = fit_profile_mle(panel, spec)
+        assert fit.iterations >= 1
+        assert len(points) > 1
+        assert len(set(points)) == len(points)

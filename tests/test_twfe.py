@@ -4,13 +4,34 @@ import numpy as np
 import pytest
 
 from conftest import random_groups, random_panel
-from panelvuong import (bias_hat, fit_grouped_time, fit_twfe, individual_groups,
-                        make_panel, omega2_twfe, pooled_groups, qlr_twfe,
-                        residuals, run_twfe_test, twfe_components)
+from oracles import sigma2_u_regrouped
+from panelvuong import (GroupedTimeFit, TwfeFit, bias_hat, fit_grouped_time,
+                        fit_twfe, individual_groups, make_panel, omega2_twfe,
+                        pooled_groups, qlr_twfe, run_twfe_test, twfe_components)
 from panelvuong.errors import GroupingViolation
 from panelvuong.panel import GroupMap
-from panelvuong.twfe import (dof_factors, sigma2_u_direct, sigma2_u_regrouped,
-                             unit_moments, variance_components_twfe)
+from panelvuong.twfe import dof_factors
+
+
+def fitted_components(panel, gmap):
+    return twfe_components(panel, fit_grouped_time(panel, gmap), fit_twfe(panel), gmap)
+
+
+def residual_components(e1, e2, gmap):
+    """Components of two prescribed residual arrays, for testing the moment
+    operations in isolation."""
+    n, T = e1.shape
+    fit_1 = GroupedTimeFit(theta=np.zeros(0), gamma_gt=np.zeros((gmap.G, T)),
+                           residuals=e1, gmap=gmap)
+    fit_2 = TwfeFit(theta=np.zeros(0), alpha=np.zeros(n), delta=np.zeros(T),
+                    residuals=e2)
+    return twfe_components(make_panel(np.zeros((n, T))), fit_1, fit_2, gmap)
+
+
+def scaled_moments(comp, gmap):
+    """Dof-rescaled per-unit (sigma2_1, sigma2_2, sigma12) of a report."""
+    a, b = dof_factors(gmap, comp.n, comp.T)
+    return comp.sigma2_1 * a, comp.sigma2_2 * b, comp.sigma12 * np.sqrt(a * b)
 
 
 class TestResiduals:
@@ -19,9 +40,9 @@ class TestResiduals:
         b = rng.normal(size=6)
         gmap = random_groups(rng, 8, 3)
         panel = make_panel(a[gmap.codes][:, None] + b[None, :])
-        assert np.allclose(residuals(panel, fit_grouped_time(panel, gmap)), 0,
-                           atol=1e-13)
-        assert np.allclose(residuals(panel, fit_twfe(panel)), 0, atol=1e-13)
+        comp = fitted_components(panel, gmap)
+        assert np.allclose(comp.resid_1, 0, atol=1e-13)
+        assert np.allclose(comp.resid_2, 0, atol=1e-13)
 
     def test_saturated_grouping_zero(self, rng):
         panel = random_panel(rng, 6, 5, 0)
@@ -31,8 +52,8 @@ class TestResiduals:
     def test_zero_sum_identities(self, rng):
         panel = random_panel(rng, 10, 7, 1)
         gmap = random_groups(rng, 10, 3)
-        e1 = residuals(panel, fit_grouped_time(panel, gmap))
-        e2 = residuals(panel, fit_twfe(panel))
+        comp = fitted_components(panel, gmap)
+        e1, e2 = comp.resid_1, comp.resid_2
         scale = max(1.0, np.abs(panel.y).max())
         for g in range(3):
             assert np.max(np.abs(e1[gmap.members(g)].sum(axis=0))) < 1e-12 * scale
@@ -42,9 +63,12 @@ class TestResiduals:
     def test_shape_mismatch_rejected(self, rng):
         panel = random_panel(rng, 6, 5, 0)
         other = random_panel(rng, 4, 5, 0)
-        fit = fit_twfe(other)
-        with pytest.raises(GroupingViolation):
-            residuals(panel, fit)
+        gmap = pooled_groups(6)
+        with pytest.raises(GroupingViolation, match="do not match panel"):
+            twfe_components(panel, fit_grouped_time(panel, gmap), fit_twfe(other), gmap)
+        with pytest.raises(GroupingViolation, match="do not match panel"):
+            twfe_components(panel, fit_grouped_time(other, pooled_groups(4)),
+                            fit_twfe(panel), gmap)
 
 
 class TestQlr:
@@ -83,8 +107,7 @@ class TestBiasHat:
         # does not, because the bias term is model-specific and nonzero
         panel = random_panel(rng, 12, 10, 0)
         gmap = random_groups(rng, 12, 3)
-        comp = twfe_components(panel, fit_grouped_time(panel, gmap),
-                               fit_twfe(panel), gmap)
+        comp = fitted_components(panel, gmap)
         assert comp.mqlr == pytest.approx(comp.qlr - comp.bias)
         assert abs(comp.bias) > 1e-6   # so -(swapped MQLR) differs from MQLR
 
@@ -93,10 +116,11 @@ class TestVarianceComponents:
     def test_identical_residual_arrays_nonnegative(self, rng):
         e = rng.normal(size=(12, 8))
         gmap = random_groups(rng, 12, 3)
-        _, s_u = variance_components_twfe(e, e, 0.0, gmap, dof_corrected=False)
+        comp = residual_components(e, e, gmap)
+        s_u = comp.sigma2_u_raw
         # with identical residuals the per-group bracket collapses to the
         # squared difference of scaled group sums, so the total stays >= 0
-        v, _, _ = unit_moments(e, e, gmap, dof_corrected=False)
+        v = comp.sigma2_1
         ng = gmap.sizes.astype(float)
         s_g = np.bincount(gmap.codes, weights=v, minlength=3)
         n, T = e.shape
@@ -109,27 +133,29 @@ class TestVarianceComponents:
     def test_zero_residuals(self):
         e = np.zeros((4, 3))
         gmap = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
-        s_nt, s_u = variance_components_twfe(e, e, 0.0, gmap)
-        assert (s_nt, s_u) == (0.0, 0.0)
+        comp = residual_components(e, e, gmap)
+        assert (comp.sigma2_nt, comp.sigma2_u) == (0.0, 0.0)
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_direct_equals_regrouped(self, rng, corrected):
         panel = random_panel(rng, 40, 40, 1)
         gmap = random_groups(rng, 40, 5)
-        e1 = fit_grouped_time(panel, gmap).residuals
-        e2 = fit_twfe(panel).residuals
-        v1, v2, v12 = unit_moments(e1, e2, gmap, corrected)
-        direct = sigma2_u_direct(v1, v2, v12, gmap, panel.T)
+        comp = fitted_components(panel, gmap)
+        if corrected:
+            v1, v2, v12 = scaled_moments(comp, gmap)
+            direct = comp.sigma2_u
+        else:
+            v1, v2, v12 = comp.sigma2_1, comp.sigma2_2, comp.sigma12
+            direct = comp.sigma2_u_raw
         regrouped = sigma2_u_regrouped(v1, v2, v12, gmap, panel.T)
         assert direct == pytest.approx(regrouped, rel=1e-12, abs=1e-12)
 
     def test_lower_bound_holds(self, rng):
         panel = random_panel(rng, 20, 15, 0)
         gmap = random_groups(rng, 20, 4)
-        e1 = fit_grouped_time(panel, gmap).residuals
-        e2 = fit_twfe(panel).residuals
-        v1, v2, v12 = unit_moments(e1, e2, gmap)
-        s_u = sigma2_u_direct(v1, v2, v12, gmap, panel.T)
+        comp = fitted_components(panel, gmap)
+        _, v2, _ = scaled_moments(comp, gmap)
+        s_u = comp.sigma2_u
         n, T = panel.n, panel.T
         s2_g = np.bincount(gmap.codes, weights=v2, minlength=4)
         cross = (s2_g.sum() ** 2 - (s2_g ** 2).sum()) / 2.0
@@ -147,9 +173,7 @@ class TestDofFactors:
     def test_cross_scaling_preserves_cauchy_schwarz(self, rng):
         panel = random_panel(rng, 15, 10, 0)
         gmap = random_groups(rng, 15, 3)
-        e1 = fit_grouped_time(panel, gmap).residuals
-        e2 = fit_twfe(panel).residuals
-        v1, v2, v12 = unit_moments(e1, e2, gmap, dof_corrected=True)
+        v1, v2, v12 = scaled_moments(fitted_components(panel, gmap), gmap)
         assert np.all(v12 ** 2 <= v1 * v2 * (1 + 1e-12) + 1e-15)
 
 
@@ -178,12 +202,10 @@ class TestRunTwfeTest:
     def test_time_permutation_invariance(self, rng):
         panel = random_panel(rng, 10, 8, 0)
         gmap = random_groups(rng, 10, 3)
-        comp = twfe_components(panel, fit_grouped_time(panel, gmap),
-                               fit_twfe(panel), gmap)
+        comp = fitted_components(panel, gmap)
         perm = rng.permutation(8)
         panel_p = make_panel(panel.y[:, perm])
-        comp_p = twfe_components(panel_p, fit_grouped_time(panel_p, gmap),
-                                 fit_twfe(panel_p), gmap)
+        comp_p = fitted_components(panel_p, gmap)
         for name in ("qlr", "bias", "mqlr", "sigma2_nt", "sigma2_u", "omega2"):
             assert getattr(comp, name) == pytest.approx(getattr(comp_p, name),
                                                         abs=1e-10)
