@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,15 +44,33 @@ class CsvSchema:
     group_cols: list[str] = field(default_factory=list)
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"cannot parse {text!r} as a number", row=row, col=col)
+def _raise_first_bad_row(rows, idx: dict, schema: CsvSchema) -> None:
+    """Raise the first row's error in file order: duplicate cell, y, x, groups."""
+    seen: set = set()
+    first_label: dict = {}
+    for rownum, parts in rows:
+        unit, time = parts[idx[schema.unit_col]], parts[idx[schema.time_col]]
+        cell = (unit.strip(), time.strip())
+        if cell in seen:
+            raise Unbalanced(f"duplicate cell for unit {unit!r} at time {time!r} "
+                             f"(row {rownum})")
+        seen.add(cell)
+        for col in (schema.y_col, *schema.x_cols):
+            try:
+                float(parts[idx[col]])
+            except ValueError:
+                raise ParseError(f"cannot parse {parts[idx[col]]!r} as a number",
+                                 row=rownum, col=col)
+        for col in schema.group_cols:
+            label = parts[idx[col]].strip()
+            prev = first_label.setdefault((col, cell[0]), label)
+            if prev != label:
+                raise GroupDrift(f"unit {unit!r} has group {prev!r} and {label!r} "
+                                 f"in column {col!r} (row {rownum})")
 
 
 def load_csv(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], dict]:
-    """Read a balanced panel from a comma-separated file.
+    """Read a balanced panel from a comma-separated UTF-8 file.
 
     Unit and time labels may be arbitrary; units are numbered by first
     appearance, times sort numerically when every label parses as a number
@@ -58,89 +78,84 @@ def load_csv(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], d
     unit.  Returns the panel, one GroupMap per requested group column, and
     the label maps for the report metadata.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty", row=1)
-        header = [h.strip() for h in header]
-        needed = [schema.unit_col, schema.time_col, schema.y_col,
-                  *schema.x_cols, *schema.group_cols]
-        for col in needed:
-            if col not in header:
-                raise ParseError(f"missing column {col!r}", row=1)
-        idx = {col: header.index(col) for col in needed}
+    raw = Path(path).read_bytes()
+    try:   # decoding the whole file gives a bad byte's offset within it
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} at offset {exc.start} "
+                         f"(line {line}) is not UTF-8")
+    # utf-8-sig drops a leading byte-order mark, as Excel writes in "CSV UTF-8"
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("file is empty", row=1)
+    header = [h.strip() for h in header]
+    needed = [schema.unit_col, schema.time_col, schema.y_col,
+              *schema.x_cols, *schema.group_cols]
+    for col in needed:
+        if col not in header:
+            raise ParseError(f"missing column {col!r}", row=1)
+    idx = {col: header.index(col) for col in needed}
 
-        rows = []
-        for rownum, parts in enumerate(reader, start=2):
-            if not parts or all(not p.strip() for p in parts):
-                continue
-            if len(parts) < len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(parts)}",
-                                 row=rownum)
-            rows.append((rownum, parts))
-
-    if not rows:
+    rownums, data = [], []
+    for rownum, parts in enumerate(reader, start=2):
+        if not "".join(parts).strip():
+            continue
+        if len(parts) < len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(parts)}",
+                             row=rownum)
+        rownums.append(rownum)
+        data.append(parts)
+    if not data:
         raise ParseError("no data rows", row=2)
+    n_rows = len(data)
 
-    units: dict[str, int] = {}
-    time_labels: dict[str, None] = {}
-    for rownum, parts in rows:
-        unit = parts[idx[schema.unit_col]].strip()
-        if unit not in units:
-            units[unit] = len(units)
-        time_labels.setdefault(parts[idx[schema.time_col]].strip(), None)
+    def column(col):
+        return map(operator.itemgetter(idx[col]), data)
 
+    unit_text = list(map(str.strip, column(schema.unit_col)))
+    time_text = list(map(str.strip, column(schema.time_col)))
+    units = {u: i for i, u in enumerate(dict.fromkeys(unit_text))}
+    time_labels = dict.fromkeys(time_text)
     try:
         times = sorted(time_labels, key=float)
     except ValueError:
         times = sorted(time_labels)
     time_index = {t: i for i, t in enumerate(times)}
-
     n, T, K = len(units), len(times), len(schema.x_cols)
-    y = np.full((n, T), np.nan)
-    x = np.full((n, T, K), np.nan)
-    seen = np.zeros((n, T), dtype=bool)
-    group_labels: dict[str, list] = {col: [None] * n for col in schema.group_cols}
+    cell = (np.fromiter(map(units.__getitem__, unit_text), np.intp, n_rows) * T
+            + np.fromiter(map(time_index.__getitem__, time_text), np.intp, n_rows))
 
-    for rownum, parts in rows:
-        i = units[parts[idx[schema.unit_col]].strip()]
-        t = time_index[parts[idx[schema.time_col]].strip()]
-        if seen[i, t]:
-            raise Unbalanced(f"duplicate cell for unit "
-                             f"{parts[idx[schema.unit_col]]!r} at time "
-                             f"{parts[idx[schema.time_col]]!r} (row {rownum})")
-        seen[i, t] = True
-        y[i, t] = _parse_float(parts[idx[schema.y_col]], rownum, schema.y_col)
+    group_text = {col: list(map(str.strip, column(col))) for col in schema.group_cols}
+    counts = np.bincount(cell, minlength=n * T)
+    ok = (counts.max() <= 1
+          and all(len(set(zip(unit_text, labels))) == n for labels in group_text.values()))
+    y, x = np.empty(n * T), np.empty((n * T, K))
+    try:
+        y[cell] = np.fromiter(map(float, column(schema.y_col)), float, n_rows)
         for k, col in enumerate(schema.x_cols):
-            x[i, t, k] = _parse_float(parts[idx[col]], rownum, col)
-        for col in schema.group_cols:
-            label = parts[idx[col]].strip()
-            prev = group_labels[col][i]
-            if prev is None:
-                group_labels[col][i] = label
-            elif prev != label:
-                raise GroupDrift(
-                    f"unit {parts[idx[schema.unit_col]]!r} has group {prev!r} and "
-                    f"{label!r} in column {col!r} (row {rownum})")
-
-    if not seen.all():
-        i, t = np.argwhere(~seen)[0]
-        unit_label = next(u for u, j in units.items() if j == i)
-        raise Unbalanced(f"missing cell: unit {unit_label!r} at time {times[t]!r}")
+            x[cell, k] = np.fromiter(map(float, column(col)), float, n_rows)
+    except ValueError:
+        ok = False
+    if not ok:
+        _raise_first_bad_row(zip(rownums, data), idx, schema)
+    if n_rows < n * T:   # no cell is duplicated, so one is missing
+        i, t = np.argwhere(counts.reshape(n, T) == 0)[0]
+        raise Unbalanced(f"missing cell: unit {list(units)[i]!r} at time {times[t]!r}")
 
     gmaps: dict[str, GroupMap] = {}
     label_maps: dict[str, dict] = {
         "units": {u: i + 1 for u, i in units.items()},
         "times": {t: i + 1 for i, t in enumerate(times)},
     }
-    for col in schema.group_cols:
-        gmaps[col], order = groups_from_labels(group_labels[col])
+    for col, labels in group_text.items():
+        # a unit's group is the label on its first row; all its rows agree
+        gmaps[col], order = groups_from_labels(list(dict(zip(unit_text, labels)).values()))
         label_maps[f"groups[{col}]"] = {lab: g + 1 for lab, g in order.items()}
 
-    return make_panel(y, x if K else None), gmaps, label_maps
+    return make_panel(y.reshape(n, T), x.reshape(n, T, K) if K else None), gmaps, label_maps
 
 
 def _schema_from_args(args) -> CsvSchema:
@@ -149,6 +164,12 @@ def _schema_from_args(args) -> CsvSchema:
             raw = json.loads(args.schema)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--schema is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"--schema must be a JSON object, got {args.schema!r}")
+        for key in ("x_cols", "group_cols"):
+            cols = raw.get(key, [])
+            if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+                raise ConfigError(f"--schema {key} must be a list of column names")
         return CsvSchema(
             unit_col=raw.get("unit_col", "unit"),
             time_col=raw.get("time_col", "time"),
@@ -206,7 +227,10 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    levels = tuple(float(p) for p in args.levels.split(","))
+    try:
+        levels = tuple(float(p) for p in args.levels.split(","))
+    except ValueError:
+        raise ConfigError(f"--levels must be comma-separated numbers, got {args.levels!r}")
     config = DgpConfig(kind=args.kind, n=args.n, T=args.T, G=args.G, K=args.K,
                        a_scale=args.a_scale, b_scale=args.b_scale,
                        noise=args.noise, kappa=args.kappa, c=args.c,

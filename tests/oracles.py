@@ -5,14 +5,24 @@ pass (:func:`panelvuong.classic.classic_components`,
 :func:`panelvuong.twfe.twfe_components`) by a separate route: one unit at a
 time, from its own moments, or in a regrouped algebraic form that exposes
 nonnegativity.  The tests compare the two.
+
+:func:`load_csv_rows` is the cell-by-cell CSV loader that
+:func:`panelvuong.cli.load_csv` replaced with column passes; the tests
+require the same arrays, label maps and errors from both.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 
 from panelvuong.classic import dof_factor
-from panelvuong.errors import GroupingViolation, SingularInformation
+from panelvuong.cli import CsvSchema
+from panelvuong.errors import (GroupDrift, GroupingViolation, ParseError,
+                               SingularInformation, Unbalanced)
 from panelvuong.estimation import FitResult
-from panelvuong.panel import GroupMap
+from panelvuong.panel import (GroupMap, PanelData, groups_from_labels,
+                              make_panel)
 
 
 def _unit_info(fit: FitResult) -> np.ndarray:
@@ -186,3 +196,104 @@ def sigma2_u_regrouped(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
         + cross_pairs / n ** 3
         + bracket.sum() / (2.0 * n)
     )
+
+
+def _parse_float(text: str, row: int, col: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"cannot parse {text!r} as a number", row=row, col=col)
+
+
+def load_csv_rows(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], dict]:
+    """Read a balanced panel from a comma-separated file.
+
+    Unit and time labels may be arbitrary; units are numbered by first
+    appearance, times sort numerically when every label parses as a number
+    and lexicographically otherwise.  Group labels must be constant within a
+    unit.  Returns the panel, one GroupMap per requested group column, and
+    the label maps for the report metadata.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("file is empty", row=1)
+        header = [h.strip() for h in header]
+        needed = [schema.unit_col, schema.time_col, schema.y_col,
+                  *schema.x_cols, *schema.group_cols]
+        for col in needed:
+            if col not in header:
+                raise ParseError(f"missing column {col!r}", row=1)
+        idx = {col: header.index(col) for col in needed}
+
+        rows = []
+        for rownum, parts in enumerate(reader, start=2):
+            if not parts or all(not p.strip() for p in parts):
+                continue
+            if len(parts) < len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(parts)}",
+                                 row=rownum)
+            rows.append((rownum, parts))
+
+    if not rows:
+        raise ParseError("no data rows", row=2)
+
+    units: dict[str, int] = {}
+    time_labels: dict[str, None] = {}
+    for rownum, parts in rows:
+        unit = parts[idx[schema.unit_col]].strip()
+        if unit not in units:
+            units[unit] = len(units)
+        time_labels.setdefault(parts[idx[schema.time_col]].strip(), None)
+
+    try:
+        times = sorted(time_labels, key=float)
+    except ValueError:
+        times = sorted(time_labels)
+    time_index = {t: i for i, t in enumerate(times)}
+
+    n, T, K = len(units), len(times), len(schema.x_cols)
+    y = np.full((n, T), np.nan)
+    x = np.full((n, T, K), np.nan)
+    seen = np.zeros((n, T), dtype=bool)
+    group_labels: dict[str, list] = {col: [None] * n for col in schema.group_cols}
+
+    for rownum, parts in rows:
+        i = units[parts[idx[schema.unit_col]].strip()]
+        t = time_index[parts[idx[schema.time_col]].strip()]
+        if seen[i, t]:
+            raise Unbalanced(f"duplicate cell for unit "
+                             f"{parts[idx[schema.unit_col]]!r} at time "
+                             f"{parts[idx[schema.time_col]]!r} (row {rownum})")
+        seen[i, t] = True
+        y[i, t] = _parse_float(parts[idx[schema.y_col]], rownum, schema.y_col)
+        for k, col in enumerate(schema.x_cols):
+            x[i, t, k] = _parse_float(parts[idx[col]], rownum, col)
+        for col in schema.group_cols:
+            label = parts[idx[col]].strip()
+            prev = group_labels[col][i]
+            if prev is None:
+                group_labels[col][i] = label
+            elif prev != label:
+                raise GroupDrift(
+                    f"unit {parts[idx[schema.unit_col]]!r} has group {prev!r} and "
+                    f"{label!r} in column {col!r} (row {rownum})")
+
+    if not seen.all():
+        i, t = np.argwhere(~seen)[0]
+        unit_label = next(u for u, j in units.items() if j == i)
+        raise Unbalanced(f"missing cell: unit {unit_label!r} at time {times[t]!r}")
+
+    gmaps: dict[str, GroupMap] = {}
+    label_maps: dict[str, dict] = {
+        "units": {u: i + 1 for u, i in units.items()},
+        "times": {t: i + 1 for i, t in enumerate(times)},
+    }
+    for col in schema.group_cols:
+        gmaps[col], order = groups_from_labels(group_labels[col])
+        label_maps[f"groups[{col}]"] = {lab: g + 1 for lab, g in order.items()}
+
+    return make_panel(y, x if K else None), gmaps, label_maps

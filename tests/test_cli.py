@@ -1,13 +1,15 @@
 """Command-line behavior: ingestion, reports, exit codes, determinism."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+from oracles import load_csv_rows
 from panelvuong import DgpConfig, generate
 from panelvuong.cli import CsvSchema, load_csv, main
-from panelvuong.errors import GroupDrift, ParseError, Unbalanced
+from panelvuong.errors import GroupDrift, PanelVuongError, ParseError, Unbalanced
 
 GROUPS = ["g1", "g1", "g2", "g2"]
 
@@ -86,6 +88,21 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="missing column"):
             load_csv(path, CsvSchema())
 
+    def test_byte_order_mark_accepted(self, panel_csv):
+        path, y, x = panel_csv
+        schema = CsvSchema(x_cols=["x1"], group_cols=["region"])
+        plain = load_csv(path, schema)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        panel, _, label_maps = load_csv(path, schema)
+        assert np.array_equal(panel.y, y) and np.array_equal(panel.x, x)
+        assert label_maps == plain[2]
+
+    def test_non_utf8_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"unit,time,y\na,1,1.0\na,2,\xff\nb,1,2.0\nb,2,3.0\n")
+        with pytest.raises(ParseError, match=r"byte 0xff at offset 24 \(line 3\)"):
+            load_csv(path, CsvSchema())
+
     def test_time_labels_sorted_numerically(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("unit,time,y\na,10,1.0\na,9,2.0\nb,10,3.0\nb,9,4.0\n",
@@ -93,6 +110,99 @@ class TestLoadCsv:
         panel, _, label_maps = load_csv(path, CsvSchema())
         assert label_maps["times"] == {"9": 1, "10": 2}
         assert panel.y[0].tolist() == [2.0, 1.0]
+
+
+def _mutated_csv(rnd: random.Random) -> str:
+    """A small panel CSV with a few random defects, or none.
+
+    The defects are the ones a column pass must hand to the row scan or
+    detect itself: duplicate, missing, unparseable, drifting, blank, short
+    and long rows, plus labels that differ only by surrounding spaces.
+    """
+    n, T = rnd.randint(2, 4), rnd.randint(2, 4)
+    numeric_times = rnd.random() < 0.7
+    groups = [rnd.choice("ab") for _ in range(n)]
+    header = ["unit", "time", "y", "x1", "region"]
+    rows = [[f"u{i}", str(10 - t) if numeric_times else f"t{t}",
+             repr(rnd.gauss(0, 1)), repr(rnd.gauss(0, 1)), groups[i]]
+            for i in range(n) for t in range(T)]
+    rnd.shuffle(rows)
+    for _ in range(rnd.choice((0, 1, 1, 2, 3))):
+        kind = rnd.choice(("duplicate", "missing", "unparseable", "drift", "blank",
+                           "short", "long", "spaces"))
+        r = rnd.randrange(len(rows))
+        if len(rows[r]) < 5 and kind in ("unparseable", "drift", "spaces"):
+            continue
+        if kind == "duplicate":   # the copy may also carry a second defect
+            copy = list(rows[r])
+            if len(copy) == 5:
+                copy[rnd.choice((2, 4))] = rnd.choice(("abc", "c", copy[2]))
+            rows.insert(rnd.randrange(len(rows) + 1), copy)
+        elif kind == "missing" and len(rows) > 1:
+            del rows[r]
+        elif kind == "unparseable":
+            rows[r][rnd.choice((2, 3))] = rnd.choice(
+                ("abc", "1_0", " nan ", "", " 2.5 ", "inf", "1e", "0x1"))
+        elif kind == "drift":
+            rows[r][4] = rnd.choice(("a", "b", "c", " a"))
+        elif kind == "blank":
+            rows.insert(r, rnd.choice(([], [" "], [""] * 5, [" ", "", " ", "\t", ""])))
+        elif kind == "short":
+            rows[r] = rows[r][:rnd.randint(0, 4)]
+        elif kind == "long":
+            rows[r] = rows[r] + ["extra"] * rnd.randint(1, 2)
+        elif kind == "spaces":
+            j = rnd.choice((0, 1))
+            rows[r][j] = f" {rows[r][j]}"
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+def _load_outcome(loader, path, schema):
+    """What a loader returns, as comparable values, or its error."""
+    try:
+        panel, gmaps, label_maps = loader(path, schema)
+    except PanelVuongError as exc:
+        return type(exc), str(exc)
+    return ("ok", panel.y.tobytes(), panel.x.tobytes(), panel.x.shape,
+            {col: (g.codes.tolist(), g.G) for col, g in gmaps.items()},
+            [(key, list(labels.items())) for key, labels in label_maps.items()])
+
+
+SCHEMAS = [CsvSchema(x_cols=x_cols, group_cols=group_cols)
+           for x_cols in ([], ["x1"]) for group_cols in ([], ["region"])]
+
+
+class TestLoadCsvOracle:
+    """``load_csv`` against the row-by-row loader it replaced."""
+
+    def test_mutated_files_agree(self, tmp_path):
+        rnd = random.Random(7)
+        path = tmp_path / "p.csv"
+        kinds = set()
+        for _ in range(600):
+            path.write_text(_mutated_csv(rnd), encoding="utf-8")
+            schema = rnd.choice(SCHEMAS)
+            expected = _load_outcome(load_csv_rows, path, schema)
+            assert _load_outcome(load_csv, path, schema) == expected, path.read_text()
+            kinds.add(expected[0])
+        assert kinds >= {"ok", Unbalanced, ParseError, GroupDrift}
+
+    def test_benchmark_shaped_file_agrees(self, tmp_path):
+        rng = np.random.default_rng(81)
+        region = np.repeat(np.arange(10), 10)
+        x = rng.standard_normal((100, 100))
+        y = (x + rng.standard_normal(10)[region][:, None]
+             + rng.standard_normal(100)[None, :] + rng.standard_normal((100, 100)))
+        lines = ["unit,time,y,x1,region"]
+        for i, (y_i, x_i) in enumerate(zip(y.tolist(), x.tolist())):
+            lines += [f"u{i + 1:03d},{t + 1},{y_i[t]!r},{x_i[t]!r},r{region[i] + 1:02d}"
+                      for t in range(100)]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        schema = CsvSchema(x_cols=["x1"], group_cols=["region"])
+        outcome = _load_outcome(load_csv, path, schema)
+        assert outcome[0] == "ok"
+        assert outcome == _load_outcome(load_csv_rows, path, schema)
 
 
 class TestCmdTest:
@@ -156,6 +266,31 @@ class TestCmdTest:
         assert out.startswith("key,value")
         assert "test.mqlr," in out
 
+    def test_byte_order_mark_end_to_end(self, panel_csv, capsys):
+        path, _, _ = panel_csv
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code = main(["test", "twfe", "--input", str(path), "--x-cols", "x1",
+                     "--group-col", "region"])
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        assert json.loads(out.out)["metadata"]["label_maps"]["units"]["u0"] == 1
+
+    def test_non_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"unit,time,y,region\na,1,1.0,\xff\n")
+        code = main(["test", "twfe", "--input", str(path), "--group-col", "region"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: byte 0xff at offset")
+
+    @pytest.mark.parametrize("schema", ['[1]', '"unit"', '{"x_cols": "x1"}',
+                                        '{"x_cols": ["x1", 2]}', '{"group_cols": "g"}'])
+    def test_schema_must_be_object_with_column_lists(self, panel_csv, capsys, schema):
+        path, _, _ = panel_csv
+        code = main(["test", "twfe", "--input", str(path), "--schema", schema,
+                     "--group-col", "region"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --schema")
+
     def test_schema_json_flag(self, tmp_path, rng, capsys):
         y = rng.normal(size=(4, 3))
         path = tmp_path / "p.csv"
@@ -195,6 +330,13 @@ class TestCmdSimulate:
                      "--reps", "0", "--out-dir", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unparseable_levels_exit_1(self, tmp_path, capsys):
+        code = main(["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2",
+                     "--reps", "2", "--levels", "0.05,abc",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --levels")
 
     def test_size_power_columns(self, tmp_path):
         out = tmp_path / "out"
