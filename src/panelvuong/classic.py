@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import GroupingViolation, SingularInformation, TooSmall
 from .estimation import FitResult, ModelSpec, fit_model
-from .panel import PanelData, validate_panel
+from .panel import PanelData
 from .report import TestReport, decide
 
 INDEPENDENCE_NOTE = ("variance estimator assumes serially independent score "
@@ -267,7 +267,6 @@ def run_classic_test(panel: PanelData, spec_1: ModelSpec, spec_2: ModelSpec,
     relative to the statistic the comparison is reported as degenerate and
     no decision is made.
     """
-    panel = validate_panel(panel)
     _check_classic_specs(panel, spec_1, spec_2)
     fit_1 = fit_model(panel, spec_1)
     fit_2 = fit_model(panel, spec_2)

@@ -44,6 +44,10 @@ class CsvSchema:
     group_cols: list[str] = field(default_factory=list)
 
 
+# the --schema object names columns only; groupings come from their own flags
+SCHEMA_KEYS = ("unit_col", "time_col", "y_col", "x_cols")
+
+
 def _raise_first_bad_row(rows, idx: dict, schema: CsvSchema) -> None:
     """Raise the first row's error in file order: duplicate cell, y, x, groups."""
     seen: set = set()
@@ -87,27 +91,29 @@ def load_csv(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], d
                          f"(line {line}) is not UTF-8")
     # utf-8-sig drops a leading byte-order mark, as Excel writes in "CSV UTF-8"
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("file is empty", row=1)
-    header = [h.strip() for h in header]
-    needed = [schema.unit_col, schema.time_col, schema.y_col,
-              *schema.x_cols, *schema.group_cols]
-    for col in needed:
-        if col not in header:
-            raise ParseError(f"missing column {col!r}", row=1)
-    idx = {col: header.index(col) for col in needed}
+    try:   # csv.Error: e.g. a field longer than csv.field_size_limit()
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("file is empty", row=1)
+        header = [h.strip() for h in header]
+        needed = [schema.unit_col, schema.time_col, schema.y_col,
+                  *schema.x_cols, *schema.group_cols]
+        for col in needed:
+            if col not in header:
+                raise ParseError(f"missing column {col!r}", row=1)
+        idx = {col: header.index(col) for col in needed}
 
-    rownums, data = [], []
-    for rownum, parts in enumerate(reader, start=2):
-        if not "".join(parts).strip():
-            continue
-        if len(parts) < len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(parts)}",
-                             row=rownum)
-        rownums.append(rownum)
-        data.append(parts)
+        rownums, data = [], []
+        for rownum, parts in enumerate(reader, start=2):
+            if not "".join(parts).strip():
+                continue
+            if len(parts) < len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(parts)}",
+                                 row=rownum)
+            rownums.append(rownum)
+            data.append(parts)
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num) from None
     if not data:
         raise ParseError("no data rows", row=2)
     n_rows = len(data)
@@ -166,29 +172,27 @@ def _schema_from_args(args) -> CsvSchema:
             raise ConfigError(f"--schema is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError(f"--schema must be a JSON object, got {args.schema!r}")
-        for key in ("x_cols", "group_cols"):
-            cols = raw.get(key, [])
-            if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
-                raise ConfigError(f"--schema {key} must be a list of column names")
-        return CsvSchema(
-            unit_col=raw.get("unit_col", "unit"),
-            time_col=raw.get("time_col", "time"),
-            y_col=raw.get("y_col", "y"),
-            x_cols=list(raw.get("x_cols", [])),
-            group_cols=list(raw.get("group_cols", [])),
-        )
+        for key in raw:
+            if key not in SCHEMA_KEYS:
+                hint = ("; name groupings with --group-col, --model1-group-col or "
+                        "--model2-group-col" if key == "group_cols" else "")
+                raise ConfigError(f"--schema key {key!r} is not one of "
+                                  f"{', '.join(SCHEMA_KEYS)}{hint}")
+        cols = raw.get("x_cols", [])
+        if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+            raise ConfigError("--schema x_cols must be a list of column names")
+        return CsvSchema(**raw)
     x_cols = [c for c in (args.x_cols or "").split(",") if c]
     return CsvSchema(unit_col=args.unit_col, time_col=args.time_col,
                      y_col=args.y_col, x_cols=x_cols, group_cols=[])
 
 
-def _write_report(report, args, *, seed=None, digest=None, label_maps=None) -> None:
+def _write_report(report, args, *, digest=None, label_maps=None) -> None:
     timestamp = None
     if args.timestamp:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    doc = to_document(report, seed=seed, input_digest=digest,
-                      label_maps=label_maps, timestamp=timestamp,
-                      exact_floats=args.exact_floats)
+    doc = to_document(report, input_digest=digest, label_maps=label_maps,
+                      timestamp=timestamp, exact_floats=args.exact_floats)
     text = render_json(doc) if args.format == "json" else render_csv(doc)
     if args.out in (None, "-"):
         sys.stdout.write(text)
@@ -235,8 +239,6 @@ def cmd_simulate(args) -> int:
                        a_scale=args.a_scale, b_scale=args.b_scale,
                        noise=args.noise, kappa=args.kappa, c=args.c,
                        master_seed=args.seed)
-    if args.reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {args.reps}")
     mc = run_replications(config, levels=levels, reps=args.reps, n_jobs=args.jobs)
     summary = summarize(mc)
 

@@ -16,11 +16,16 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, RankDeficient, SingularInformation
 from .families import LikelihoodFamily, gaussian_fixed_scale
-from .panel import GroupMap, PanelData, TimeGroupMap, single_block, validate_panel
+from .panel import GroupMap, PanelData, TimeGroupMap, single_block
 
 COND_LIMIT = 1e12
 EIG_FLOOR = 1e-12
 INFO_FLOOR = 1e-12
+# profile-Newton budgets of fit_profile_mle
+TOL = 1e-10          # infinity-norm bound on the theta score and every cell score
+MAX_ITER = 100       # outer Newton iterations
+INNER_TOL = 1e-12    # absolute bound on each cell's scalar first-order condition
+MAX_HALVINGS = 30    # step halvings per Newton update; also guards the family's domain
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,19 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
+def _check_maps(panel: PanelData, gmap: GroupMap, mmap: TimeGroupMap | None = None) -> None:
+    """Raise ``RankDeficient`` unless the maps span the panel's units and periods."""
+    T = panel.T if mmap is None else mmap.T
+    if gmap.n != panel.n or T != panel.T:
+        raise RankDeficient(f"group maps cover ({gmap.n}, {T}), panel is ({panel.n}, {panel.T})")
+
+
 class _Cells:
     """Flat (group, block) cell ids ``g * M + m`` over the (n, T) grid, with
     per-cell segment sums."""
 
-    def __init__(self, gmap: GroupMap, mmap: TimeGroupMap):
+    def __init__(self, panel: PanelData, gmap: GroupMap, mmap: TimeGroupMap):
+        _check_maps(panel, gmap, mmap)
         self.M = mmap.M
         self.count = gmap.G * mmap.M
         self.ids = gmap.codes[:, None] * mmap.M + mmap.codes[None, :]
@@ -112,13 +125,9 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
     demeaning; the first-order conditions hold by linear algebra rather than
     iteration.  The returned log-likelihood is the unit-scale Gaussian one.
     """
-    panel = validate_panel(panel)
     n, T, K = panel.n, panel.T, panel.K
     mmap = mmap if mmap is not None else single_block(T)
-    if gmap.n != n or mmap.T != T:
-        raise RankDeficient(f"group maps cover ({gmap.n}, {mmap.T}), panel is ({n}, {T})")
-
-    cells = _Cells(gmap, mmap)
+    cells = _Cells(panel, gmap, mmap)
 
     def cell_mean(a: np.ndarray) -> np.ndarray:
         return cells.sum(a) / cells.size
@@ -152,7 +161,7 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
 def fit_grouped_time(panel: PanelData, gmap: GroupMap) -> GroupedTimeFit:
     """Group-by-time effects: theta from within-(g, t) demeaning, effects as
     cell means of the working residual."""
-    panel = validate_panel(panel)
+    _check_maps(panel, gmap)
     n, T, K = panel.n, panel.T, panel.K
     Z = _group_indicator(gmap)
     sizes = gmap.sizes.astype(float)
@@ -175,7 +184,6 @@ def fit_grouped_time(panel: PanelData, gmap: GroupMap) -> GroupedTimeFit:
 
 def fit_twfe(panel: PanelData) -> TwfeFit:
     """Additive unit + time effects with the time effects summing to zero."""
-    panel = validate_panel(panel)
     n, T, K = panel.n, panel.T, panel.K
     y = panel.y
     ybar_i = y.mean(axis=1)
@@ -202,9 +210,7 @@ def fit_twfe(panel: PanelData) -> TwfeFit:
     return TwfeFit(theta=theta, alpha=alpha, delta=delta, residuals=resid)
 
 
-def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
-                    max_iter: int = 100, inner_tol: float = 1e-12,
-                    max_halvings: int = 30) -> FitResult:
+def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     """Profile-Newton quasi-MLE for an arbitrary likelihood family.
 
     For each candidate theta the scalar effect of every (group, block) cell
@@ -215,35 +221,23 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     on a trial point, the step of every cell still pending in that round is
     halved.  Theta is then updated by Newton on the profiled score with step
     halving, the Jacobian taken by central differences of the profiled score.
-
-    Parameters
-    ----------
-    tol : float
-        Infinity-norm bound on the theta score and on every cell score.
-    max_iter : int
-        Outer Newton iteration limit.
-    inner_tol : float
-        Absolute bound for each cell's scalar first-order condition.
-    max_halvings : int
-        Step-halving budget per Newton update (also guards the family's
-        parameter domain, e.g. a positive-scale boundary).
+    The budgets are the module constants ``TOL``, ``MAX_ITER``, ``INNER_TOL``
+    and ``MAX_HALVINGS``.
 
     Raises
     ------
+    RankDeficient
+        If the spec's group maps do not cover the panel.
     SingularInformation
         If a cell's average curvature falls below ``1e-12`` in magnitude.
     NoConvergence
-        If the iteration budget ends with first-order conditions above
-        ``tol``.
+        If the first-order conditions stay above ``1e-10`` after 100 outer
+        iterations, or no step improves within 30 halvings.
     """
-    panel = validate_panel(panel)
-    n, T = panel.n, panel.T
     family = spec.family
     gmap = spec.gmap
-    mmap = spec.time_map(T)
-    if gmap.n != n or mmap.T != T:
-        raise RankDeficient(f"group maps cover ({gmap.n}, {mmap.T}), panel is ({n}, {T})")
-    cells = _Cells(gmap, mmap)
+    mmap = spec.time_map(panel.T)
+    cells = _Cells(panel, gmap, mmap)
     eps = np.finfo(float).eps
 
     if family.init_theta is not None:
@@ -265,7 +259,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
         active = np.ones(cells.count, dtype=bool)
         for _ in range(100):
             # a summed score cannot cancel below its own rounding floor
-            floor = np.maximum(inner_tol, 8.0 * eps * s_abs)
+            floor = np.maximum(INNER_TOL, 8.0 * eps * s_abs)
             active &= ~(np.abs(s) <= floor)   # a NaN score stays active
             if not active.any():
                 return gam
@@ -284,7 +278,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                 return gam
             lam = np.where(active, 1.0, 0.0)
             pending = active.copy()
-            for _ in range(max_halvings):
+            for _ in range(MAX_HALVINGS):
                 trial = gam + lam * step
                 try:
                     scores_new = family.psi_gamma(panel.y, panel.x, th, trial[cells.ids])
@@ -310,10 +304,10 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     def theta_score(th: np.ndarray, gam: np.ndarray) -> tuple[np.ndarray, float]:
         """Profiled theta score and its stopping tolerance, from one family call."""
         if family.d_theta == 0:
-            return np.zeros(0), tol
+            return np.zeros(0), TOL
         st = family.psi_theta(panel.y, panel.x, th, gam[cells.ids]).reshape(-1, family.d_theta)
         # a summed score cannot cancel below its own rounding floor
-        return st.sum(axis=0), max(tol, 8.0 * eps * float(np.abs(st).sum(axis=0).max()))
+        return st.sum(axis=0), max(TOL, 8.0 * eps * float(np.abs(st).sum(axis=0).max()))
 
     gamma = profile(theta, init_gamma(theta))
     score, score_tol = theta_score(theta, gamma)
@@ -321,7 +315,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     theta_scale = float(np.max(np.abs(theta))) if theta.size else 0.0
 
     if family.d_theta:
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             if np.max(np.abs(score)) <= score_tol:
                 break
             jac = np.empty((family.d_theta, family.d_theta))
@@ -338,7 +332,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                 step, *_ = np.linalg.lstsq(jac, -score, rcond=None)
 
             lam = 1.0
-            for _ in range(max_halvings):
+            for _ in range(MAX_HALVINGS):
                 try:
                     theta_new = theta + lam * step
                     gamma_new = profile(theta_new, gamma)
@@ -347,13 +341,13 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                     lam *= 0.5
                     continue
                 if np.max(np.abs(score_new)) < np.max(np.abs(score)) \
-                        or np.max(np.abs(score_new)) <= tol:
+                        or np.max(np.abs(score_new)) <= TOL:
                     theta, gamma, score, score_tol = theta_new, gamma_new, score_new, tol_new
                     break
                 lam *= 0.5
             else:
                 raise NoConvergence(
-                    f"no improving step after {max_halvings} halvings, "
+                    f"no improving step after {MAX_HALVINGS} halvings, "
                     f"score norm {np.max(np.abs(score)):.3e}")
             # monotone escape toward a score root at infinity means the
             # objective is flat or unbounded in some direction (e.g. the
@@ -363,9 +357,9 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
                     f"parameters diverging (|theta| = {np.max(np.abs(theta)):.3e}); "
                     f"likelihood appears degenerate")
         else:
-            raise NoConvergence(f"outer iteration limit {max_iter} reached")
+            raise NoConvergence(f"outer iteration limit {MAX_ITER} reached")
         if np.max(np.abs(score)) > score_tol:
-            raise NoConvergence(f"theta score norm {np.max(np.abs(score)):.3e} above {tol}")
+            raise NoConvergence(f"theta score norm {np.max(np.abs(score)):.3e} above {TOL}")
 
     gfield = gamma[cells.ids]
     loglik_obs = family.psi(panel.y, panel.x, theta, gfield)
@@ -375,7 +369,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     if flat.any():
         k = int(np.argmax(flat))
         raise SingularInformation(f"cell {cells.label(k)} curvature {info[k]:.3e} not negative")
-    floor = np.maximum(np.maximum(tol, 8.0 * eps * cells.sum(np.abs(score_gamma))),
+    floor = np.maximum(np.maximum(TOL, 8.0 * eps * cells.sum(np.abs(score_gamma))),
                        4.0 * eps * np.maximum(1.0, np.abs(gamma)) * np.abs(info) * cells.size)
     off = np.abs(cells.sum(score_gamma)) > floor
     if off.any():
@@ -393,22 +387,22 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec, tol: float = 1e-10,
     )
 
 
-def fit_model(panel: PanelData, spec: ModelSpec, **opts) -> FitResult:
+def fit_model(panel: PanelData, spec: ModelSpec) -> FitResult:
     """Fit a model spec, using the closed form where it is exact.
 
     The unit-scale Gaussian family maximizes the same objective as
     :func:`fit_linear_cells`, so it dispatches there; other families go
     through :func:`fit_profile_mle`.
     """
-    if spec.family.name == "gaussian-fixed-scale" and not opts:
+    if spec.family.name == "gaussian-fixed-scale":
         return fit_linear_cells(panel, spec.gmap, spec.time_map(panel.T))
-    return fit_profile_mle(panel, spec, **opts)
+    return fit_profile_mle(panel, spec)
 
 
 def foc_residuals(panel: PanelData, fit: FitResult) -> tuple[float, float]:
     """(theta score inf-norm, max absolute cell score) at the fitted optimum."""
     spec = fit.spec
-    cells = _Cells(spec.gmap, spec.time_map(panel.T))
+    cells = _Cells(panel, spec.gmap, spec.time_map(panel.T))
     gfield = fit.gamma.ravel()[cells.ids]
     max_theta = 0.0
     if spec.family.d_theta:

@@ -141,7 +141,7 @@ def _pooled_ols(panel: PanelData) -> np.ndarray:
     return beta
 
 
-def check_derivatives(family: LikelihoodFamily, points, h: float = 1e-5) -> float:
+def check_derivatives(family: LikelihoodFamily, points) -> float:
     """Max relative gap between analytic derivatives and finite differences.
 
     ``psi_theta`` and ``psi_gamma`` are checked against central differences of
@@ -154,9 +154,8 @@ def check_derivatives(family: LikelihoodFamily, points, h: float = 1e-5) -> floa
     ----------
     points : iterable of (y, x, theta, gamma)
         Evaluation points inside the family's domain.
-    h : float
-        Central-difference step.
     """
+    h = 1e-5   # central-difference step
     worst = 0.0
     for y, x, theta, gamma in points:
         y = float(y)

@@ -3,32 +3,36 @@
 A panel holds an outcome array ``y`` of shape (n, T) and covariates ``x`` of
 shape (n, T, K) with K possibly zero.  Group structures are stored with
 contiguous zero-based codes internally; one-based labels appear only in
-reports.  Everything is frozen after validation and safe to share between
-threads.
+reports.  Everything is frozen and checked when it is built, and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class PanelData:
-    """Balanced n x T panel of outcome and covariates."""
+    """Balanced n x T panel of outcome and covariates, frozen and checked when built."""
 
     y: np.ndarray                  # (n, T)
     x: np.ndarray                  # (n, T, K), K may be 0
-    validated: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "y", _frozen(self.y))
+        object.__setattr__(self, "x", _frozen(self.x))
+        validate_panel(self)
 
     @property
     def n(self) -> int:
@@ -44,7 +48,7 @@ class PanelData:
 
 
 def make_panel(y, x=None) -> PanelData:
-    """Assemble and validate a panel from raw arrays.
+    """Assemble a panel from raw arrays.
 
     Parameters
     ----------
@@ -54,31 +58,26 @@ def make_panel(y, x=None) -> PanelData:
         Covariates; omit for a pure fixed-effects panel (K = 0).
     """
     y = np.asarray(y, dtype=float)
+    return PanelData(y=y, x=np.zeros(y.shape + (0,)) if x is None else x)
+
+
+def validate_panel(panel: PanelData) -> PanelData:
+    """Check all panel invariants and return the panel unchanged."""
+    y, x = panel.y, panel.x
     if y.ndim != 2:
         raise TooSmall(f"y must be a 2-d (n, T) array, got shape {y.shape}")
     n, T = y.shape
-    if x is None:
-        x = np.zeros((n, T, 0))
-    x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[:2] != (n, T):
         raise TooSmall(f"x must have shape (n, T, K) = ({n}, {T}, K), got {x.shape}")
-    return validate_panel(PanelData(y=_frozen(y), x=_frozen(x)))
-
-
-def validate_panel(raw: PanelData) -> PanelData:
-    """Check all panel invariants; idempotent on an already-valid panel."""
-    if raw.validated:
-        return raw
-    n, T = raw.y.shape
     if n < 2 or T < 2:
         raise TooSmall(f"panel needs n >= 2 and T >= 2, got n={n}, T={T}")
-    if not np.all(np.isfinite(raw.y)):
-        i, t = np.argwhere(~np.isfinite(raw.y))[0]
+    if not np.all(np.isfinite(y)):
+        i, t = np.argwhere(~np.isfinite(y))[0]
         raise NonFinite(f"y[{i + 1}][{t + 1}] is not finite")
-    if raw.x.size and not np.all(np.isfinite(raw.x)):
-        i, t, k = np.argwhere(~np.isfinite(raw.x))[0]
+    if x.size and not np.all(np.isfinite(x)):
+        i, t, k = np.argwhere(~np.isfinite(x))[0]
         raise NonFinite(f"x[{i + 1}][{t + 1}][{k + 1}] is not finite")
-    return PanelData(y=raw.y, x=raw.x, validated=True)
+    return panel
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,9 @@ def _format_value(v: Any, exact: bool) -> Any:
     return v
 
 
-def to_document(report: TestReport, *, seed: int | None = None,
-                input_digest: str | None = None, label_maps: dict | None = None,
-                timestamp: str | None = None, exact_floats: bool = False) -> dict:
+def to_document(report: TestReport, *, input_digest: str | None = None,
+                label_maps: dict | None = None, timestamp: str | None = None,
+                exact_floats: bool = False) -> dict:
     """Flatten a report into the versioned document layout."""
     test_block = {
         "test": report.test,
@@ -109,7 +109,7 @@ def to_document(report: TestReport, *, seed: int | None = None,
             "schema_version": SCHEMA_VERSION,
             "tool": "panelvuong",
             "tool_version": __version__,
-            "seed": seed,
+            "seed": None,   # a test on a CSV draws no random numbers
             "timestamp": timestamp,
             "input_digest": input_digest,
             "label_maps": label_maps,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GroupingViolation
 from .estimation import GroupedTimeFit, TwfeFit, fit_grouped_time, fit_twfe
-from .panel import GroupMap, PanelData, validate_panel
+from .panel import GroupMap, PanelData
 from .report import TestReport, decide
 
 SATURATED_NOTE = ("every unit is its own group; the grouped-time model fits "
@@ -128,12 +128,15 @@ def sigma2_u_direct(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
     )
 
 
+def _check_covers(panel: PanelData, gmap: GroupMap) -> None:
+    if gmap.n != panel.n:
+        raise GroupingViolation(f"group map covers {gmap.n} units, panel has {panel.n}")
+
+
 def run_twfe_test(panel: PanelData, gmap: GroupMap,
                   level: float = 0.05) -> TestReport:
     """Fit both linear models and run the comparison at the given level."""
-    panel = validate_panel(panel)
-    if gmap.n != panel.n:
-        raise GroupingViolation(f"group map covers {gmap.n} units, panel has {panel.n}")
+    _check_covers(panel, gmap)
     fit_1 = fit_grouped_time(panel, gmap)
     fit_2 = fit_twfe(panel)
     comp = twfe_components(panel, fit_1, fit_2, gmap)
@@ -153,6 +156,7 @@ def twfe_components(panel: PanelData, fit_1: GroupedTimeFit, fit_2: TwfeFit,
     sigma2_nt may be tiny-negative in pathological samples and is not
     clamped.
     """
+    _check_covers(panel, gmap)
     n, T = panel.n, panel.T
     e1, e2 = fit_1.residuals, fit_2.residuals
     for e in (e1, e2):

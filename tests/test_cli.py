@@ -283,13 +283,34 @@ class TestCmdTest:
         assert capsys.readouterr().err.startswith("error: byte 0xff at offset")
 
     @pytest.mark.parametrize("schema", ['[1]', '"unit"', '{"x_cols": "x1"}',
-                                        '{"x_cols": ["x1", 2]}', '{"group_cols": "g"}'])
+                                        '{"x_cols": ["x1", 2]}', '{"group_cols": "g"}',
+                                        '{"group_cols": ["nope"]}', '{"x_col": ["x1"]}'])
     def test_schema_must_be_object_with_column_lists(self, panel_csv, capsys, schema):
         path, _, _ = panel_csv
         code = main(["test", "twfe", "--input", str(path), "--schema", schema,
                      "--group-col", "region"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --schema")
+
+    @pytest.mark.parametrize("key, flag", [("group_cols", "--model2-group-col"),
+                                           ("x_col", "x_cols")])
+    def test_schema_unknown_key_named(self, panel_csv, capsys, key, flag):
+        path, _, _ = panel_csv
+        code = main(["test", "twfe", "--input", str(path), "--schema",
+                     json.dumps({key: ["x1"]}), "--group-col", "region"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--schema key {key!r}" in err and flag in err
+
+    def test_overlong_field_exit_1(self, tmp_path, capsys):
+        # longer than csv.field_size_limit(); the csv module raises csv.Error
+        path = tmp_path / "panel.csv"
+        path.write_text("unit,time,y,region\na,1," + "1" * 200000 + ",g\n", encoding="utf-8")
+        code = main(["test", "twfe", "--input", str(path), "--group-col", "region"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field larger than field limit")
+        assert err.endswith("(row 2)\n")
 
     def test_schema_json_flag(self, tmp_path, rng, capsys):
         y = rng.normal(size=(4, 3))

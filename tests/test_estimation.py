@@ -11,9 +11,9 @@ from panelvuong import (LikelihoodFamily, ModelSpec, TimeGroupMap, block_groups,
                         fit_grouped_time, fit_linear_cells, fit_profile_mle,
                         fit_twfe, foc_residuals, gaussian_fixed_scale,
                         gaussian_full_scale, individual_groups, make_panel,
-                        pooled_groups, single_block)
-from panelvuong.errors import (DomainError, NoConvergence, RankDeficient,
-                               SingularInformation)
+                        pooled_groups, single_block, twfe_components)
+from panelvuong.errors import (DomainError, GroupingViolation, NoConvergence,
+                               RankDeficient, SingularInformation)
 from panelvuong.panel import GroupMap, blocks_from_sizes
 
 
@@ -483,3 +483,26 @@ class TestThetaScoreOnce:
         assert fit.iterations >= 1
         assert len(points) > 1
         assert len(set(points)) == len(points)
+
+
+class TestGroupMapsCoverPanel:
+    """Every entry point that takes a panel and a group map rejects a map of
+    another size with a typed error, not a numpy broadcast error."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda panel, short: fit_linear_cells(panel, short), RankDeficient),
+        (lambda panel, short: fit_grouped_time(panel, short), RankDeficient),
+        (lambda panel, short: fit_profile_mle(
+            panel, ModelSpec(gaussian_full_scale(1), short)), RankDeficient),
+        (lambda panel, short: foc_residuals(
+            panel, fit_linear_cells(make_panel(panel.y[:5], panel.x[:5]), short)),
+         RankDeficient),
+        (lambda panel, short: twfe_components(
+            panel, fit_grouped_time(panel, block_groups(6, 2)), fit_twfe(panel), short),
+         GroupingViolation),
+    ], ids=["fit_linear_cells", "fit_grouped_time", "fit_profile_mle", "foc_residuals",
+            "twfe_components"])
+    def test_short_map_rejected(self, rng, call, error):
+        panel = random_panel(rng, 6, 4, 1)
+        with pytest.raises(error, match="covers? "):
+            call(panel, block_groups(5, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from panelvuong import (GroupMap, TimeGroupMap, blocks_from_sizes,
+from panelvuong import (GroupMap, PanelData, TimeGroupMap, blocks_from_sizes,
                         group_partition, groups_from_labels, individual_groups,
                         make_panel, pooled_groups, single_block, validate_panel)
 from panelvuong.errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
@@ -44,6 +44,30 @@ class TestValidatePanel:
         p = make_panel([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
             p.y[0, 0] = 9.0
+
+    # The cases above again, built without make_panel: no constructor lets an
+    # invalid panel through.
+    @pytest.mark.parametrize("y, x, error", [
+        ([[1.0, 2.0], [3.0, np.nan]], np.zeros((2, 2, 0)), NonFinite),
+        (np.ones((2, 2)), np.full((2, 2, 1), np.inf), NonFinite),
+        ([[1.0, 2.0]], np.zeros((1, 2, 0)), TooSmall),
+        ([[1.0], [2.0]], np.zeros((2, 1, 0)), TooSmall),
+        (np.ones((2, 3)), np.zeros((2, 2, 1)), TooSmall),
+        (np.ones((2, 3)), np.zeros((2, 3)), TooSmall),
+        (np.ones(4), np.zeros((4, 1, 0)), TooSmall),
+    ], ids=["nan_in_y", "inf_in_x", "single_unit", "single_period",
+            "x_shape_mismatch", "x_not_3d", "y_not_2d"])
+    def test_direct_construction_rejected(self, y, x, error):
+        with pytest.raises(error):
+            PanelData(y=y, x=x)
+
+    def test_direct_construction_frozen(self):
+        p = PanelData(y=np.ones((2, 2)), x=np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError):
+            p.y[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            p.x[0, 0, 0] = 9.0
+        assert validate_panel(p) is p
 
 
 class TestGroupPartition:
