@@ -33,7 +33,7 @@ from .errors import ConfigError, Empty, PanelVuongError
 from .estimation import ModelSpec
 from .families import gaussian_fixed_scale
 from .panel import GroupMap, PanelData, individual_groups, make_panel
-from .rng import normals, stream
+from .rng import GENERATOR_VERSION, normals, stream
 from .report import TestReport
 from .stats import binomial_se, critical_values, ks_distance, normal_cdf
 from .twfe import run_twfe_test
@@ -67,6 +67,8 @@ class DgpConfig:
             raise ConfigError(f"noise must be positive, got {self.noise}")
         if self.kappa < 0:
             raise ConfigError(f"kappa must be nonnegative, got {self.kappa}")
+        if self.c < 0:
+            raise ConfigError(f"c must be nonnegative, got {self.c}")
         if self.K < 0:
             raise ConfigError(f"K must be nonnegative, got {self.K}")
 
@@ -310,11 +312,13 @@ def summarize(mc: McResult) -> Summary:
 
 
 def size_power_csv(summary: Summary) -> str:
-    lines = ["kind,n,T,G,kappa,c,level,side,rate,se,reps,degenerate_count"]
+    lines = ["kind,n,T,G,kappa,c,level,side,rate,se,reps,degenerate_count,"
+             "generator_version"]
     for r in summary.rows:
         lines.append(
             f"{r.kind},{r.n},{r.T},{r.G},{r.kappa!r},{r.c!r},{r.level!r},"
-            f"{r.side},{r.rate!r},{r.se!r},{r.reps},{r.degenerate_count}")
+            f"{r.side},{r.rate!r},{r.se!r},{r.reps},{r.degenerate_count},"
+            f"{GENERATOR_VERSION}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,8 @@ from .errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 
 def _frozen(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float, order="C")
+    # a copy, so that freezing never makes the caller's own array read-only
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 

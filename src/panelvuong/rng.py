@@ -2,8 +2,10 @@
 
 Each replication draws from Philox streams addressed by a fixed integer
 triple, so results never depend on execution order or worker count.  Normal
-variates go through the package's own inverse CDF, keeping simulated panels
-bit-identical across platforms.
+variates go through the package's own inverse CDF, so draws are identical
+across reruns and worker counts.  ``tests/test_rng.py`` pins their digests on
+x86-64 with numpy 2.4; ``np.log`` may round differently on other CPUs or
+numpy builds and move a tail draw by an ulp.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .stats import normal_quantile
+
+# Version of the normal generator, written into every size_power.csv row:
+# 1 was a rational guess plus two Halley steps against the erfc-based CDF,
+# 2 is Wichura's AS241 (stats.normal_quantile).
+GENERATOR_VERSION = 2
 
 # Fixed stream addresses; appending new ones keeps existing draws unchanged.
 STREAMS = {

@@ -1,18 +1,20 @@
 """Standard-normal CDF/quantile and small sample diagnostics.
 
 Self-contained vectorized implementations so that simulation streams do not
-depend on any external special-function library: the complementary error
+depend on any external special-function library.  The complementary error
 function uses the classical rational Chebyshev approximations (three regimes,
-relative error below 1e-15 in double precision), and the quantile combines a
-rational initial guess with two Halley refinement steps against the CDF.
+relative error below 1e-15 in double precision).  The quantile is Wichura's
+AS241 (Applied Statistics 37, 1988; the algorithm behind Python's
+``statistics.NormalDist.inv_cdf``): one degree-7/7 rational function per
+regime, no CDF call and no refinement step, relative error below 1e-15 down
+to q = 1e-300 and up to 1 - 2**-53.
 
-Inputs are raveled, each pass finds the indices of every regime once, and the
-rational functions are evaluated in place in the same per-element order of
-operations as the earlier mask-based form, so every result is bit-identical
-to it (``tests/test_rng.py`` pins digests of draws, quantiles and
-campaigns).  The regime beyond 4 is entered only when an argument reaches
-it.  NaN falls in no regime and propagates; +inf and -inf take the limits
-(erfc 0 and 2, CDF 1 and 0).
+Inputs are raveled and the rational functions are evaluated in place, so
+every result keeps a fixed per-element order of operations
+(``tests/test_rng.py`` pins digests of draws, quantiles and campaigns).  erfc
+finds the indices of each regime once and enters the regime beyond 4 only
+when an argument reaches it; NaN falls in no regime and propagates, and +inf
+and -inf take the limits (erfc 0 and 2, CDF 1 and 0).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from .errors import OutOfRange
 
 _SQRT2 = float(np.sqrt(2.0))
-_SQRT2PI = float(np.sqrt(2.0 * np.pi))
 _INV_SQRT_PI = 1.0 / float(np.sqrt(np.pi))
 
 # Rational approximations to erf and erfc, as Horner coefficients (highest
@@ -153,76 +154,84 @@ def normal_cdf(z):
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-# Rational approximation for the initial quantile guess (abs error ~1.2e-9).
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01, 1.0)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00, 1.0)
-_Q_LOW = 0.02425
+# Wichura's AS241 (Applied Statistics 37, 1988), the algorithm behind
+# Python's statistics.NormalDist.inv_cdf, as Horner coefficients (highest
+# power first) of degree-7 numerators and denominators.
+# |p - 0.5| <= 0.425, in r = 0.180625 - (p - 0.5)^2.
+_AS241_CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+                      6.7265770927008700853e+4, 4.5921953931549871457e+4,
+                      1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                      1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_AS241_CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+                      3.9307895800092710610e+4, 2.1213794301586595867e+4,
+                      5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                      4.2313330701600911252e+1, 1.0)
+# r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6.
+_AS241_NEAR_NUM = (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+                   2.4178072517745061177e-1, 1.2704582524523683826e+0,
+                   3.6478483247632046050e+0, 5.7694972214606914055e+0,
+                   4.6303378461565452959e+0, 1.4234371107496835773e+0)
+_AS241_NEAR_DEN = (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+                   1.5198666563616457197e-2, 1.4810397642748007459e-1,
+                   6.8976733498510000455e-1, 1.6763848301838038494e+0,
+                   2.0531916266377588219e+0, 1.0)
+# r > 5, in r - 5.
+_AS241_FAR_NUM = (2.0103343992922881327e-7, 2.7115555687434875782e-5,
+                  1.2426609473880784386e-3, 2.6532189526576123093e-2,
+                  2.9656057182850489123e-1, 1.7848265399172913358e+0,
+                  5.4637849111641143699e+0, 6.6579046435011037772e+0)
+_AS241_FAR_DEN = (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+                  1.8463183175100546818e-5, 7.8686913114561325910e-4,
+                  1.4875361290850614853e-2, 1.3692988092273580531e-1,
+                  5.9983220655588793769e-1, 1.0)
 
 
-def _quantile_guess(p: np.ndarray) -> np.ndarray:
-    """Rational initial guess on a 1-d array of p in (0, 1)."""
-    x = np.empty_like(p)
-
-    low = p < _Q_LOW
-    high = p > 1.0 - _Q_LOW
-    mid = np.flatnonzero(~(low | high))
-    if mid.size:
-        q = p[mid]
-        q -= 0.5
-        r = q * q
-        num = _horner(r, _QA)
-        num *= q
-        num /= _horner(r, _QB)
-        x[mid] = num
-    for mask, sign in ((low, 1.0), (high, -1.0)):
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            pp = p[idx] if sign > 0 else 1.0 - p[idx]
-            q = np.sqrt(-2.0 * np.log(pp))
-            num = _horner(q, _QC)
-            if sign < 0:
-                np.negative(num, out=num)
-            num /= _horner(q, _QD)
-            x[idx] = num
-    return x
+def _rational(s: np.ndarray, num, den) -> np.ndarray:
+    out = _horner(s, num)
+    out /= _horner(s, den)
+    return out
 
 
 def normal_quantile(q):
-    """Standard normal quantile for q in (0, 1).
+    """Standard normal quantile for q in (0, 1), by Wichura's AS241.
 
-    A rational initial guess is polished with two Halley steps against
-    :func:`normal_cdf`, giving |normal_cdf(normal_quantile(q)) - q| at
-    machine level for all non-extreme q.
+    One degree-7/7 rational function per regime (|q - 0.5| <= 0.425, then
+    the two tails split at sqrt(-log(min(q, 1 - q))) = 5), the same
+    arithmetic as Python's ``statistics.NormalDist().inv_cdf`` (results differ
+    by an ulp or two only where ``np.log`` and ``math.log`` round apart).  The
+    relative error is below 1e-15 from q = 1e-300 to 1 - 2**-53, and the
+    result is exactly odd about 0.5 wherever 1 - q is exact.  Raises
+    :class:`OutOfRange` unless every q lies in (0, 1); NaN fails that check.
     """
     q_arr = np.asarray(q, dtype=float)
-    flat = q_arr.ravel()
-    if not np.all((flat > 0.0) & (flat < 1.0)):
+    p = q_arr.ravel()
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise OutOfRange("normal_quantile requires q in (0, 1)")
 
-    x = _quantile_guess(flat)
-    for _ in range(2):
-        # u = err / pdf(x); the exp overflows only beyond |x| ~ 38 where the
-        # initial guess is already as accurate as double precision allows
-        u = _normal_cdf_flat(x)
-        u -= flat
-        u *= _SQRT2PI
-        e = 0.5 * x
-        e *= x
-        with np.errstate(over="ignore"):
-            np.exp(e, out=e)
-            u *= e
-        u[~np.isfinite(u)] = 0.0
-        den = 0.5 * x
-        den *= u
-        den += 1.0
-        u /= den
-        x -= u
+    # Each rational also runs over the entries of the regime beyond it, whose
+    # values are then overwritten: there the central denominator stays above
+    # 0.002 (r in [-0.069375, 0)) and the near-tail one above 1, so the
+    # discarded values are finite and raise no warning.
+    d = p - 0.5
+    r = d * d
+    np.subtract(0.180625, r, out=r)
+    x = _horner(r, _AS241_CENTRAL_NUM)
+    x *= d
+    x /= _horner(r, _AS241_CENTRAL_DEN)
+
+    tails = np.flatnonzero(np.abs(d) > 0.425)
+    if tails.size:
+        pt = p[tails]
+        r = np.minimum(pt, 1.0 - pt)
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        res = _rational(r - 1.6, _AS241_NEAR_NUM, _AS241_NEAR_DEN)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            res[far] = _rational(r[far] - 5.0, _AS241_FAR_NUM, _AS241_FAR_DEN)
+        # both tail rationals are positive; the sign follows p - 0.5
+        x[tails] = np.copysign(res, d[tails], out=res)
     return float(x[0]) if q_arr.ndim == 0 else x.reshape(q_arr.shape)
 
 

@@ -10,6 +10,7 @@ from oracles import load_csv_rows
 from panelvuong import DgpConfig, generate
 from panelvuong.cli import CsvSchema, load_csv, main
 from panelvuong.errors import GroupDrift, PanelVuongError, ParseError, Unbalanced
+from panelvuong.rng import GENERATOR_VERSION
 
 GROUPS = ["g1", "g1", "g2", "g2"]
 
@@ -364,5 +365,14 @@ class TestCmdSimulate:
         main(["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2",
               "--K", "0", "--reps", "10", "--seed", "1", "--levels", "0.05,0.1",
               "--out-dir", str(out)])
-        header = (out / "size_power.csv").read_text().splitlines()[0]
-        assert header == "kind,n,T,G,kappa,c,level,side,rate,se,reps,degenerate_count"
+        header, *rows = (out / "size_power.csv").read_text().splitlines()
+        assert header == ("kind,n,T,G,kappa,c,level,side,rate,se,reps,degenerate_count,"
+                          "generator_version")
+        assert len(rows) == 4
+        assert all(row.split(",")[-1] == str(GENERATOR_VERSION) for row in rows)
+
+    def test_negative_c_exit_1(self, tmp_path, capsys):
+        code = main(["simulate", "--kind", "E", "--n", "10", "--T", "8", "--G", "2",
+                     "--reps", "2", "--c", "-1", "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: c must be nonnegative")

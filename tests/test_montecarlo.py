@@ -23,7 +23,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [dict(n=1), dict(T=1), dict(G=0),
                                      dict(G=20), dict(noise=0.0),
-                                     dict(kappa=-1.0), dict(K=-1)])
+                                     dict(kappa=-1.0), dict(K=-1),
+                                     dict(kind="E", c=-3.0)])
     def test_invalid_dimensions(self, bad):
         with pytest.raises(ConfigError):
             cfg(**bad)

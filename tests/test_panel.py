@@ -45,6 +45,18 @@ class TestValidatePanel:
         with pytest.raises(ValueError):
             p.y[0, 0] = 9.0
 
+    def test_caller_array_stays_writable(self):
+        y = np.zeros((3, 3))
+        x = np.zeros((3, 3, 1))
+        p = make_panel(y, x)
+        y[0, 0] = 1.0
+        x[0, 0, 0] = 1.0
+        assert p.y[0, 0] == 0.0 and p.x[0, 0, 0] == 0.0
+
+    def test_zero_d_y_shape_named(self):
+        with pytest.raises(TooSmall, match=r"got shape \(\)"):
+            make_panel(1.0)
+
     # The cases above again, built without make_panel: no constructor lets an
     # invalid panel through.
     @pytest.mark.parametrize("y, x, error", [

@@ -47,8 +47,10 @@ def _digest(arr) -> str:
 
 
 def _quantile_grid() -> np.ndarray:
-    """Probabilities reaching both tails of the initial guess (down to 1e-300)
-    and, through the Halley steps' CDF calls, all three erfc regimes."""
+    """Probabilities reaching all three AS241 regimes on both sides of 0.5:
+    the central rational (|q - 0.5| <= 0.425), the near tails, and the far
+    tails beyond min(q, 1 - q) = exp(-25) (down to 1e-300 and up to
+    1 - 2**-53)."""
     return np.concatenate([
         np.logspace(-300.0, -1.0, 400),
         np.linspace(0.02, 0.98, 961),
@@ -61,26 +63,27 @@ def _cdf_grid() -> np.ndarray:
     return np.concatenate([np.linspace(-40.0, 10.0, 5001), edges, -edges, [0.0]])
 
 
-# sha256 digests recorded with the mask-based erfc/quantile that preceded the
-# indexed one (numpy 2.4, x86-64).  Any change to a digest changes simulated
-# panels, and so every Monte Carlo evidence line.
+# sha256 digests of generator version 2 (rng.GENERATOR_VERSION, the AS241
+# quantile), recorded on x86-64 with numpy 2.4.  GOLDEN_CDF predates it and is
+# unchanged.  Any change to a draw digest changes simulated panels, and so
+# every Monte Carlo evidence line; it must come with a new generator version.
 GOLDEN_NORMALS = {
     (7, 3, "noise", (100, 100)):
-        "69f9ba0fc000ea66209b2bf37417bec639a92c9b7b759101e60100a6a5611c42",
+        "6429c16151e0c5531944ef6c18187b3df26864eaf1d64c52c25f7ba8657abbf6",
     (20240601, 0, "covariates", (100, 100, 1)):
-        "2a063acf8e84f5c366ae417cb74648fb0e82b6eb220f427268719beb0a14d933",
+        "4d815da7806ff629656b5f27d14b17e1231e2333ca9e4e7f30f9e8b99d06f747",
     (1, 5, "group_effects", (10,)):
-        "c0fbc855a3b63beaa2399b0f5aacee7289de16422f25064a79fe796d7b2249b4",
+        "b4bb37e23383a5ba74dddc33e459e96892152f411fe6f86929390c719006ef04",
     (0, 1999, "unit_deviations", (1000,)):
-        "b74b3e0df0c9e2516f43499af5d7f9bd1fec174504c6b293f749144d62cb3251",
+        "6f41c0758153c6b008a6e4368250a986260896f2a4df2e8f05fdf03d5963988b",
 }
-GOLDEN_QUANTILE = "aee95b5351a6051ab8c72a7ab404a41901ede046019a9a73428b087cc8af06ec"
+GOLDEN_QUANTILE = "3a3b7ca7aacfb756cd0e7362a289810f8a12b42df4a11f1a079179cc871e567b"
 GOLDEN_CDF = "a27d84a42fb09962dd35583d60ada9ce29d6c7f781195a3d0512a2f0e7066f35"
 GOLDEN_CAMPAIGNS = {
-    "A": ("befb47b0902000fd1aabd5a417588e466e19ad6c1c31b53b109fd771a4016a0b",
-          "6fca6ad7e30957f22911d3f001e72259a476a257d44ff46d21deaf78003387c3"),
-    "C": ("8ee1a36866bc6cda54db84ec595ef626591ceb2400797cdd3063b11495fa3866",
-          "89419f75e2dc3d2f8ce43cf88dc9861944b4609b8cc9f0c95978588b23f3dad8"),
+    "A": ("145210234329cd9b4ae4201db984fab09ce0da28eda3edb9a2af2edcd260fca7",
+          "d7eb37aa1f9413b7ccd03a1298ea63dc3bd2d911896bddb35986dd4ed9e9b76e"),
+    "C": ("0a7cc9d1957f0a90332026e5b62ec209f9f8b343b6accdf3f75d5f7f1018a639",
+          "8ee5d29d19d07de86c60ad1a9cdfa8b1c42ff1f60d46e9ba0d56166b78eead90"),
 }
 
 

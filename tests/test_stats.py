@@ -1,5 +1,6 @@
 """Normal CDF/quantile against independent scipy references."""
 
+import statistics
 import warnings
 
 import numpy as np
@@ -54,6 +55,31 @@ class TestNormalQuantile:
     @given(st.floats(1e-9, 1 - 1e-9))
     def test_roundtrip(self, q):
         assert abs(normal_cdf(normal_quantile(q)) - q) <= 1e-10
+
+    @staticmethod
+    def _as241_grid():
+        """Probabilities in all three AS241 regimes: both tails down to 1e-300
+        and up to 1 - 2**-53, and the centre."""
+        return np.concatenate([np.logspace(-300.0, -1.0, 600),
+                               np.linspace(0.001, 0.999, 1997),
+                               1.0 - 2.0 ** -np.arange(2, 54)])
+
+    def test_relative_accuracy(self):
+        q = self._as241_grid()
+        ref = special.ndtri(q)
+        assert np.all(np.abs(normal_quantile(q) - ref) <= 1e-15 * np.abs(ref))
+
+    def test_matches_statistics_inv_cdf(self):
+        q = self._as241_grid()
+        ref = np.array([statistics.NormalDist().inv_cdf(float(v)) for v in q])
+        assert np.all(np.abs(normal_quantile(q) - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_exact_symmetry(self):
+        # u = k * 2**-53 < 0.5, so 1 - u is exact
+        k = np.concatenate([np.arange(1, 4097),
+                            np.random.default_rng(5).integers(1, 2**52, 20000)])
+        u = k * 2.0 ** -53
+        assert np.array_equal(normal_quantile(1.0 - u), -normal_quantile(u))
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.7])
     def test_out_of_range(self, q):
