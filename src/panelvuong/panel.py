@@ -16,6 +16,16 @@ import numpy as np
 from .errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 
+def _int_codes(codes, what: str) -> np.ndarray:
+    """Codes as a fresh int64 array; a value the cast would change is refused."""
+    raw = np.asarray(codes)
+    with np.errstate(invalid="ignore"):     # NaN and inf fail the check below
+        out = raw.astype(np.int64)
+    if not np.array_equal(out, raw):
+        raise OutOfRange(f"{what} codes must be whole numbers")
+    return out
+
+
 def _frozen(a) -> np.ndarray:
     # a copy, so that freezing never makes the caller's own array read-only
     a = np.array(a, dtype=float, order="C")
@@ -89,7 +99,7 @@ class GroupMap:
     G: int
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = _int_codes(self.codes, "group")
         if self.G < 1:
             raise OutOfRange(f"G must be >= 1, got {self.G}")
         if codes.ndim != 1:
@@ -156,7 +166,7 @@ class TimeGroupMap:
     M: int
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = _int_codes(self.codes, "time")
         if self.M < 1:
             raise OutOfRange(f"M must be >= 1, got {self.M}")
         if codes.ndim != 1 or codes.size == 0:

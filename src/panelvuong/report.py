@@ -1,8 +1,9 @@
 """Test reports and their machine-readable document form.
 
 A :class:`TestReport` is what either test returns: the standardized statistic
-with two- and one-sided decisions at the requested level, exact p-values, the
-degeneracy flag, and every scalar component that went into the statistic.
+with two- and one-sided decisions at the requested level, upper-tail p-values
+taken from ``math.erfc`` (no ``1 - cdf`` cancellation), the degeneracy flag,
+and every scalar component that went into the statistic.
 :func:`to_document` flattens a report into the versioned JSON schema used by
 the command line; rendering is deterministic (fixed key order, fixed float
 formatting) so identical inputs produce byte-identical output.
@@ -18,7 +19,7 @@ from typing import Any
 
 from . import __version__
 from .errors import NonFinite, OutOfRange
-from .stats import critical_values, normal_cdf
+from .stats import critical_values
 
 SCHEMA_VERSION = 1
 
@@ -60,12 +61,13 @@ def decide(test: str, mqlr: float, omega2: float, level: float,
     omega = omega2 ** 0.5
     stat = mqlr / omega
     z_two, z_one = critical_values(level)
-    cdf_abs, cdf = normal_cdf([abs(stat), stat])
+    # upper tails straight from erfc: 1 - cdf would cancel to 0 for large stat
+    scaled = stat / math.sqrt(2.0)
     return TestReport(
         test=test, level=level, mqlr=mqlr, omega2_hat=omega2,
         statistic=stat,
-        p_two_sided=float(2.0 * (1.0 - cdf_abs)),
-        p_one_sided=float(1.0 - cdf),
+        p_two_sided=math.erfc(abs(scaled)),
+        p_one_sided=0.5 * math.erfc(scaled),
         reject_two=bool(abs(mqlr) > omega * z_two),
         reject_one=bool(mqlr > omega * z_one),
         degenerate=False, degenerate_reason=None,

@@ -1,157 +1,47 @@
 """Standard-normal CDF/quantile and small sample diagnostics.
 
-Self-contained vectorized implementations so that simulation streams do not
-depend on any external special-function library.  The complementary error
-function uses the classical rational Chebyshev approximations (three regimes,
-relative error below 1e-15 in double precision).  The quantile is Wichura's
-AS241 (Applied Statistics 37, 1988; the algorithm behind Python's
-``statistics.NormalDist.inv_cdf``): one degree-7/7 rational function per
-regime, no CDF call and no refinement step, relative error below 1e-15 down
-to q = 1e-300 and up to 1 - 2**-53.
+The quantile is Wichura's AS241 (Applied Statistics 37, 1988; the algorithm
+behind Python's ``statistics.NormalDist.inv_cdf``): one degree-7/7 rational
+function per regime, no CDF call and no refinement step, relative error below
+1e-15 down to q = 1e-300 and up to 1 - 2**-53.  It is the only function here
+that normal draws go through; its inputs are raveled and the rationals are
+evaluated in place, so every result keeps a fixed per-element order of
+operations (``tests/test_rng.py`` pins digests of draws, quantiles and
+campaigns).
 
-Inputs are raveled and the rational functions are evaluated in place, so
-every result keeps a fixed per-element order of operations
-(``tests/test_rng.py`` pins digests of draws, quantiles and campaigns).  erfc
-finds the indices of each regime once and enters the regime beyond 4 only
-when an argument reaches it; NaN falls in no regime and propagates, and +inf
-and -inf take the limits (erfc 0 and 2, CDF 1 and 0).
+The CDF is the standard library's ``math.erfc`` applied elementwise; it
+serves KS distances and the local-power curve, and ``report.decide`` takes
+its p-values from ``math.erfc`` directly, as upper tails.  No draw, campaign
+byte or decision depends on it: decisions compare against
+:func:`critical_values`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import NonFinite, OutOfRange
 
-_SQRT2 = float(np.sqrt(2.0))
-_INV_SQRT_PI = 1.0 / float(np.sqrt(np.pi))
-
-# Rational approximations to erf and erfc, as Horner coefficients (highest
-# power first) of numerator and denominator.
-# erf on |x| <= 0.46875, in z = x^2.
-_ERF_NUM = (1.85777706184603153e-1, 3.16112374387056560e00,
-            1.13864154151050156e02, 3.77485237685302021e02,
-            3.20937758913846947e03)
-_ERF_DEN = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
-            1.28261652607737228e03, 2.84423683343917062e03)
-
-# erfc on 0.46875 < x <= 4, in x.
-_ERFC_MID_NUM = (2.15311535474403846e-8, 5.64188496988670089e-1,
-                 8.88314979438837594e00, 6.61191906371416295e01,
-                 2.98635138197400131e02, 8.81952221241769090e02,
-                 1.71204761263407058e03, 2.05107837782607147e03,
-                 1.23033935479799725e03)
-_ERFC_MID_DEN = (1.0, 1.57449261107098347e01, 1.17693950891312499e02,
-                 5.37181101862009858e02, 1.62138957456669019e03,
-                 3.29079923573345963e03, 4.36261909014324716e03,
-                 3.43936767414372164e03, 1.23033935480374942e03)
-
-# erfc on x > 4, in z = 1/x^2.
-_ERFC_TAIL_NUM = (1.63153871373020978e-2, 3.05326634961232344e-1,
-                  3.60344899949804439e-1, 1.25781726111229246e-1,
-                  1.60837851487422766e-2, 6.58749161529837803e-4)
-_ERFC_TAIL_DEN = (1.0, 2.56852019228982242e00, 1.87295284992346047e00,
-                  5.27905102951428412e-1, 6.05183413124413191e-2,
-                  2.33520497626869185e-3)
-
-
-def _horner(x: np.ndarray, coefs) -> np.ndarray:
-    """coefs[0]*x^k + coefs[1]*x^(k-1) + ... + coefs[-1], evaluated in place."""
-    acc = coefs[0] * x
-    for c in coefs[1:-1]:
-        acc += c
-        acc *= x
-    acc += coefs[-1]
-    return acc
-
-
-def _exp_neg_square(y: np.ndarray) -> np.ndarray:
-    """exp(-y^2) with y^2 split so that the argument stays exact for large y."""
-    ysq = np.trunc(y * 16.0)
-    ysq /= 16.0
-    dell = y - ysq
-    dell *= y + ysq
-    np.negative(dell, out=dell)
-    np.exp(dell, out=dell)
-    ysq *= ysq
-    np.negative(ysq, out=ysq)
-    np.exp(ysq, out=ysq)
-    ysq *= dell
-    return ysq
-
-
-def _erfc_positive(y: np.ndarray) -> np.ndarray:
-    """erfc(y) for a 1-d array of y >= 0; NaN falls in no regime and stays NaN."""
-    out = np.full_like(y, np.nan)
-
-    small = np.flatnonzero(y <= 0.46875)
-    if small.size:
-        ys = y[small]
-        z = ys * ys
-        num = _horner(z, _ERF_NUM)
-        num *= ys
-        num /= _horner(z, _ERF_DEN)
-        out[small] = np.subtract(1.0, num, out=num)
-
-    rest = np.flatnonzero(y > 0.46875)
-    if rest.size:
-        yr = y[rest]
-        if yr.max() > 4.0:
-            # erfc(+inf) is 0; the exp(-y^2) split below would form inf - inf
-            out[rest[yr == np.inf]] = 0.0
-            tail = (yr > 4.0) & (yr < np.inf)
-            yl = yr[tail]
-            z = yl * yl
-            np.divide(1.0, z, out=z)
-            num = _horner(z, _ERFC_TAIL_NUM)
-            num *= z
-            num /= _horner(z, _ERFC_TAIL_DEN)
-            np.subtract(_INV_SQRT_PI, num, out=num)
-            num /= yl
-            with np.errstate(under="ignore"):
-                num *= _exp_neg_square(yl)
-            out[rest[tail]] = num
-            keep = yr <= 4.0
-            rest, yr = rest[keep], yr[keep]
-        num = _horner(yr, _ERFC_MID_NUM)
-        num /= _horner(yr, _ERFC_MID_DEN)
-        res = _exp_neg_square(yr)
-        res *= num
-        out[rest] = res
-
-    return out
-
-
-def _erfc_flat(x: np.ndarray) -> np.ndarray:
-    """erfc on a 1-d array, reflecting negative arguments."""
-    out = _erfc_positive(np.abs(x))
-    return np.where(x < 0.0, 2.0 - out, out)
-
-
-def _normal_cdf_flat(z: np.ndarray) -> np.ndarray:
-    w = np.negative(z)
-    w /= _SQRT2
-    out = _erfc_flat(w)
-    out *= 0.5
-    return out
+_SQRT2 = math.sqrt(2.0)
 
 
 def erfc(x):
-    """Vectorized complementary error function; NaN propagates, erfc(+inf) = 0
-    and erfc(-inf) = 2."""
+    """Complementary error function, elementwise by ``math.erfc``: relative
+    error below 1e-13 against scipy, NaN propagates, erfc(+inf) = 0 and
+    erfc(-inf) = 2."""
     x = np.asarray(x, dtype=float)
-    out = _erfc_flat(x.ravel())
+    out = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def normal_cdf(z):
-    """Standard normal CDF, accurate to relative 1e-13 on both tails; NaN
+    """Standard normal CDF as 0.5 * erfc(-z / sqrt(2)), accurate to relative
+    1e-13 on both tails (the rounding of z / sqrt(2) sets that limit); NaN
     propagates, +inf maps to 1 and -inf to 0."""
-    z = np.asarray(z, dtype=float)
-    out = _normal_cdf_flat(z.ravel())
-    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
 
 
 # Wichura's AS241 (Applied Statistics 37, 1988), the algorithm behind
@@ -184,6 +74,16 @@ _AS241_FAR_DEN = (2.0442631033899397856e-15, 1.4215117583164458887e-7,
                   1.8463183175100546818e-5, 7.8686913114561325910e-4,
                   1.4875361290850614853e-2, 1.3692988092273580531e-1,
                   5.9983220655588793769e-1, 1.0)
+
+
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    """coefs[0]*x^k + coefs[1]*x^(k-1) + ... + coefs[-1], evaluated in place."""
+    acc = coefs[0] * x
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coefs[-1]
+    return acc
 
 
 def _rational(s: np.ndarray, num, den) -> np.ndarray:
@@ -244,11 +144,16 @@ def critical_values(level: float) -> tuple[float, float]:
 
 
 def ks_distance(sample) -> float:
-    """Kolmogorov-Smirnov distance between a sample and the standard normal."""
+    """Kolmogorov-Smirnov distance between a sample and the standard normal.
+
+    Raises :class:`OutOfRange` on an empty sample and :class:`NonFinite` on a
+    NaN; +-inf points are allowed."""
     s = np.sort(np.asarray(sample, dtype=float))
     m = s.size
     if m == 0:
         raise OutOfRange("ks_distance requires a nonempty sample")
+    if np.isnan(s[-1]):     # NaN sorts last
+        raise NonFinite("ks_distance sample contains NaN")
     cdf = normal_cdf(s)
     grid = np.arange(1, m + 1) / m
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / m))))

@@ -107,6 +107,16 @@ class TestGroupPartition:
         with pytest.raises(OutOfRange):
             GroupMap(codes=np.array([0, 1, 2]), G=2)
 
+    @pytest.mark.parametrize("codes", [[0.5, 1.7, 0.2], [0.0, 1.0, np.nan]])
+    def test_fractional_codes_rejected(self, codes):
+        # the int64 cast would truncate [0.5, 1.7, 0.2] to [0, 1, 0]
+        with pytest.raises(OutOfRange, match="whole numbers"):
+            GroupMap(codes=codes, G=2)
+
+    def test_whole_float_codes_accepted(self):
+        codes = GroupMap(codes=[0.0, 1.0, 1.0], G=2).codes
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
+
     def test_size_mismatch(self):
         with pytest.raises(OutOfRange):
             group_partition(individual_groups(3), 4)
@@ -151,6 +161,15 @@ class TestTimeGroupMap:
     def test_gap_rejected(self):
         with pytest.raises(OutOfRange):
             TimeGroupMap(codes=np.array([0, 0, 2]), M=3)
+
+    def test_fractional_codes_rejected(self):
+        # the int64 cast would truncate these to the valid blocks [0, 0, 1]
+        with pytest.raises(OutOfRange, match="whole numbers"):
+            TimeGroupMap(codes=[0.0, 0.9, 1.2], M=2)
+
+    def test_whole_float_codes_accepted(self):
+        codes = TimeGroupMap(codes=[0.0, 1.0, 1.0], M=2).codes
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
 
     def test_empty_block_rejected(self):
         with pytest.raises(EmptyGroup):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from panelvuong import normal_quantile
 from panelvuong.errors import NonFinite, OutOfRange
@@ -28,6 +29,20 @@ class TestDecide:
         assert above.reject_two and not below.reject_two
         assert below.reject_one and below.statistic > z_one
         assert above.p_two_sided < 0.05 < below.p_two_sided
+
+    @pytest.mark.parametrize("s", [3.0, 8.0, 9.0, 12.0, 30.0, -9.0])
+    def test_p_values_far_in_the_tails(self, s):
+        # 2 * (1 - cdf(|s|)) cancels to 0 from s = 8.3 on; the upper tail does
+        # not.  Rounding s / sqrt(2) moves the tail by up to s^2 * 2**-53
+        # relative, once here and up to twice in scipy: 3e-13 at s = 30.
+        report = decide("twfe", s, 1.0, 0.05, {}, [])
+        assert report.statistic == s
+        tol = max(1e-13, 3.0 * s * s * 2.0 ** -53)
+        two, one = 2.0 * sstats.norm.sf(abs(s)), sstats.norm.sf(s)
+        assert abs(report.p_two_sided - two) <= tol * two
+        assert abs(report.p_one_sided - one) <= tol * one
+        if s == -9.0:
+            assert report.p_one_sided == 1.0
 
 
 class TestCriticalValues:

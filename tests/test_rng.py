@@ -64,8 +64,9 @@ def _cdf_grid() -> np.ndarray:
 
 
 # sha256 digests of generator version 2 (rng.GENERATOR_VERSION, the AS241
-# quantile), recorded on x86-64 with numpy 2.4.  GOLDEN_CDF predates it and is
-# unchanged.  Any change to a draw digest changes simulated panels, and so
+# quantile), recorded on x86-64 with numpy 2.4.  GOLDEN_CDF pins normal_cdf,
+# which is math.erfc elementwise, so it pins x86-64 glibc's erfc; no draw
+# depends on it.  Any change to a draw digest changes simulated panels, and so
 # every Monte Carlo evidence line; it must come with a new generator version.
 GOLDEN_NORMALS = {
     (7, 3, "noise", (100, 100)):
@@ -78,7 +79,7 @@ GOLDEN_NORMALS = {
         "6f41c0758153c6b008a6e4368250a986260896f2a4df2e8f05fdf03d5963988b",
 }
 GOLDEN_QUANTILE = "3a3b7ca7aacfb756cd0e7362a289810f8a12b42df4a11f1a079179cc871e567b"
-GOLDEN_CDF = "a27d84a42fb09962dd35583d60ada9ce29d6c7f781195a3d0512a2f0e7066f35"
+GOLDEN_CDF = "15288119e5b0d537ae068ac7e3eabb9fe217459b3c1c68b940bce07d4f3839b3"
 GOLDEN_CAMPAIGNS = {
     "A": ("145210234329cd9b4ae4201db984fab09ce0da28eda3edb9a2af2edcd260fca7",
           "d7eb37aa1f9413b7ccd03a1298ea63dc3bd2d911896bddb35986dd4ed9e9b76e"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats as sstats
 
 from panelvuong import normal_cdf, normal_quantile, ks_distance, binomial_se
-from panelvuong.errors import OutOfRange
+from panelvuong.errors import NonFinite, OutOfRange
 from panelvuong.rng import normals, stream
 from panelvuong.stats import erfc
 
@@ -100,6 +100,10 @@ class TestKsDistance:
     def test_empty_raises(self):
         with pytest.raises(OutOfRange):
             ks_distance([])
+
+    def test_nan_raises(self):
+        with pytest.raises(NonFinite):
+            ks_distance([0.1, np.nan, -0.4])
 
 
 class TestBinomialSe:
