@@ -6,11 +6,11 @@ from .errors import (ConfigError, DomainError, Empty, EmptyGroup, GroupDrift,
                      GroupingViolation, NoConvergence, NonFinite, OutOfRange,
                      PanelVuongError, ParseError, RankDeficient,
                      SingularInformation, TooSmall, Unbalanced)
-from .families import (LikelihoodFamily, check_derivatives, eval_derivatives,
-                       eval_psi, gaussian_fixed_scale, gaussian_full_scale)
+from .families import (LikelihoodFamily, check_derivatives, gaussian_fixed_scale,
+                       gaussian_full_scale)
 from .panel import (GroupMap, PanelData, TimeGroupMap, blocks_from_sizes,
-                    group_partition, groups_from_labels, individual_groups,
-                    make_panel, pooled_groups, single_block, validate_panel)
+                    groups_from_labels, individual_groups, make_panel,
+                    pooled_groups, single_block, validate_panel)
 from .estimation import (FitResult, GroupedTimeFit, ModelSpec, TwfeFit,
                          fit_grouped_time, fit_linear_cells, fit_model,
                          fit_profile_mle, fit_twfe, foc_residuals)
@@ -30,12 +30,12 @@ __all__ = [
     "PanelVuongError", "ParseError", "RankDeficient", "SingularInformation",
     "TooSmall", "Unbalanced",
     # families
-    "LikelihoodFamily", "check_derivatives", "eval_derivatives", "eval_psi",
-    "gaussian_fixed_scale", "gaussian_full_scale",
+    "LikelihoodFamily", "check_derivatives", "gaussian_fixed_scale",
+    "gaussian_full_scale",
     # panel
     "GroupMap", "PanelData", "TimeGroupMap", "blocks_from_sizes",
-    "group_partition", "groups_from_labels", "individual_groups", "make_panel",
-    "pooled_groups", "single_block", "validate_panel",
+    "groups_from_labels", "individual_groups", "make_panel", "pooled_groups",
+    "single_block", "validate_panel",
     # estimation
     "FitResult", "GroupedTimeFit", "ModelSpec", "TwfeFit", "fit_grouped_time",
     "fit_linear_cells", "fit_model", "fit_profile_mle", "fit_twfe",

@@ -174,8 +174,8 @@ def _schema_from_args(args) -> CsvSchema:
             raise ConfigError(f"--schema must be a JSON object, got {args.schema!r}")
         for key in raw:
             if key not in SCHEMA_KEYS:
-                hint = ("; name groupings with --group-col, --model1-group-col or "
-                        "--model2-group-col" if key == "group_cols" else "")
+                hint = ("; name groupings with --group-col or --model2-group-col"
+                        if key == "group_cols" else "")
                 raise ConfigError(f"--schema key {key!r} is not one of "
                                   f"{', '.join(SCHEMA_KEYS)}{hint}")
         cols = raw.get("x_cols", [])
@@ -202,28 +202,20 @@ def _write_report(report, args, *, digest=None, label_maps=None) -> None:
 
 def cmd_test(args) -> int:
     schema = _schema_from_args(args)
-    if args.subcommand == "twfe":
-        schema.group_cols = [args.group_col]
-    else:
-        schema.group_cols = [args.model2_group_col]
-        if args.model1_group_col and args.model1_group_col != args.unit_col:
-            schema.group_cols.append(args.model1_group_col)
+    group_col = args.group_col if args.subcommand == "twfe" else args.model2_group_col
+    schema.group_cols = [group_col]
 
     panel, gmaps, label_maps = load_csv(args.input, schema)
     digest = file_digest(args.input)
 
     if args.subcommand == "twfe":
         from .twfe import run_twfe_test
-        report = run_twfe_test(panel, gmaps[args.group_col], level=args.level)
+        report = run_twfe_test(panel, gmaps[group_col], level=args.level)
     else:
         from .classic import run_classic_test
-        k = panel.K
-        if args.model1_group_col and args.model1_group_col != args.unit_col:
-            gmap_1 = gmaps[args.model1_group_col]
-        else:
-            gmap_1 = individual_groups(panel.n)
-        spec_1 = ModelSpec(FAMILIES[args.model1_family](k), gmap_1)
-        spec_2 = ModelSpec(FAMILIES[args.model2_family](k), gmaps[args.model2_group_col])
+        # model 1 has one effect per unit, as the classic test requires
+        spec_1 = ModelSpec(FAMILIES[args.model1_family](panel.K), individual_groups(panel.n))
+        spec_2 = ModelSpec(FAMILIES[args.model2_family](panel.K), gmaps[group_col])
         report = run_classic_test(panel, spec_1, spec_2, level=args.level)
 
     _write_report(report, args, digest=digest, label_maps=label_maps)
@@ -236,7 +228,6 @@ def cmd_simulate(args) -> int:
     except ValueError:
         raise ConfigError(f"--levels must be comma-separated numbers, got {args.levels!r}")
     config = DgpConfig(kind=args.kind, n=args.n, T=args.T, G=args.G, K=args.K,
-                       a_scale=args.a_scale, b_scale=args.b_scale,
                        noise=args.noise, kappa=args.kappa, c=args.c,
                        master_seed=args.seed)
     mc = run_replications(config, levels=levels, reps=args.reps, n_jobs=args.jobs)
@@ -286,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="gaussian-fixed-scale")
     classic.add_argument("--model2-family", choices=sorted(FAMILIES),
                          default="gaussian-fixed-scale")
-    classic.add_argument("--model1-group-col", default=None,
-                         help="defaults to one group per unit")
     classic.add_argument("--model2-group-col", required=True)
 
     twfe = test_sub.add_parser("twfe", help="grouped time effects vs two-way effects")
@@ -300,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--T", type=int, required=True)
     sim.add_argument("--G", type=int, required=True)
     sim.add_argument("--K", type=int, default=1)
-    sim.add_argument("--a-scale", type=float, default=1.0)
-    sim.add_argument("--b-scale", type=float, default=1.0)
     sim.add_argument("--noise", type=float, default=1.0)
     sim.add_argument("--kappa", type=float, default=0.0)
     sim.add_argument("--c", type=float, default=0.0)

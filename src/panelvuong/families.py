@@ -36,23 +36,6 @@ class LikelihoodFamily:
     dof_rescaled: bool = field(default=False, compare=False)
 
 
-def eval_psi(family: LikelihoodFamily, y, x, theta, gamma):
-    """Evaluate psi, raising DomainError outside the family's domain."""
-    return family.psi(np.asarray(y, float), np.asarray(x, float),
-                      np.asarray(theta, float), np.asarray(gamma, float))
-
-
-def eval_derivatives(family: LikelihoodFamily, y, x, theta, gamma):
-    """Analytic (psi_theta, psi_gamma, psi_gammagamma) at one parameter point."""
-    y = np.asarray(y, float)
-    x = np.asarray(x, float)
-    theta = np.asarray(theta, float)
-    gamma = np.asarray(gamma, float)
-    return (family.psi_theta(y, x, theta, gamma),
-            family.psi_gamma(y, x, theta, gamma),
-            family.psi_gammagamma(y, x, theta, gamma))
-
-
 def gaussian_fixed_scale(n_covariates: int) -> LikelihoodFamily:
     """psi = -(y - x'theta - gamma)^2 / 2; unit scale."""
     K = int(n_covariates)
@@ -156,28 +139,27 @@ def check_derivatives(family: LikelihoodFamily, points) -> float:
         Evaluation points inside the family's domain.
     """
     h = 1e-5   # central-difference step
+    psi, psi_gamma = family.psi, family.psi_gamma
     worst = 0.0
-    for y, x, theta, gamma in points:
-        y = float(y)
-        x = np.asarray(x, float)
-        theta = np.asarray(theta, float)
-        gamma = float(gamma)
+    for point in points:
+        # arrays, not Python floats: psi_theta indexes its residual with [..., None]
+        y, x, theta, gamma = (np.asarray(v, float) for v in point)
 
-        an_t, an_g, an_gg = eval_derivatives(family, y, x, theta, gamma)
+        fd_g = (psi(y, x, theta, gamma + h) - psi(y, x, theta, gamma - h)) / (2.0 * h)
+        an_g = float(psi_gamma(y, x, theta, gamma))
+        worst = max(worst, abs(fd_g - an_g) / max(1.0, abs(fd_g)))
 
-        fd_g = (eval_psi(family, y, x, theta, gamma + h)
-                - eval_psi(family, y, x, theta, gamma - h)) / (2.0 * h)
-        worst = max(worst, abs(fd_g - float(an_g)) / max(1.0, abs(fd_g)))
+        fd_gg = (float(psi_gamma(y, x, theta, gamma + h))
+                 - float(psi_gamma(y, x, theta, gamma - h))) / (2.0 * h)
+        an_gg = float(family.psi_gammagamma(y, x, theta, gamma))
+        worst = max(worst, abs(fd_gg - an_gg) / max(1.0, abs(fd_gg)))
 
-        fd_gg = (float(family.psi_gamma(y, x, theta, gamma + h))
-                 - float(family.psi_gamma(y, x, theta, gamma - h))) / (2.0 * h)
-        worst = max(worst, abs(fd_gg - float(an_gg)) / max(1.0, abs(fd_gg)))
-
+        an_t = family.psi_theta(y, x, theta, gamma)
         for k in range(family.d_theta):
             step = np.zeros_like(theta)
             step[k] = h
-            fd_t = (eval_psi(family, y, x, theta + step, gamma)
-                    - eval_psi(family, y, x, theta - step, gamma)) / (2.0 * h)
-            an_tk = float(np.asarray(an_t)[..., k])
+            fd_t = (psi(y, x, theta + step, gamma)
+                    - psi(y, x, theta - step, gamma)) / (2.0 * h)
+            an_tk = float(an_t[..., k])
             worst = max(worst, abs(fd_t - an_tk) / max(1.0, abs(fd_t)))
     return worst

@@ -13,6 +13,9 @@ Five DGP kinds cover the nulls and alternatives the two tests are built for:
 * ``E``  the kind-B interaction with scale c*sigma*(nT)^(-1/4), holding the
   standardized drift roughly constant across panel sizes.
 
+Group and time effects are standard normal and have no scale setting: both
+models of each test absorb them, so their scale cannot enter the statistic.
+
 Every replication is a pure function of (master seed, replication index):
 each variate family draws from its own counter-based stream, so results are
 identical no matter how replications are scheduled across workers.
@@ -34,7 +37,7 @@ from .estimation import ModelSpec
 from .families import gaussian_fixed_scale
 from .panel import GroupMap, PanelData, individual_groups, make_panel
 from .rng import GENERATOR_VERSION, normals, stream
-from .report import TestReport
+from .report import TestReport, rejects
 from .stats import binomial_se, critical_values, ks_distance, normal_cdf
 from .twfe import run_twfe_test
 
@@ -49,8 +52,6 @@ class DgpConfig:
     T: int
     G: int
     K: int = 1                 # covariate count
-    a_scale: float = 1.0       # group-effect scale
-    b_scale: float = 1.0       # time-effect scale
     noise: float = 1.0         # idiosyncratic standard deviation
     kappa: float = 0.0         # signal in noise units (kinds B and D)
     c: float = 0.0             # local-drift constant (kind E)
@@ -59,6 +60,12 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown DGP kind {self.kind!r}; choose from {KINDS}")
+        for name in ("n", "T", "G", "K", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.n < 2 or self.T < 2:
             raise ConfigError(f"need n >= 2 and T >= 2, got n={self.n}, T={self.T}")
         if not 1 <= self.G <= self.n:
@@ -93,14 +100,13 @@ def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap, di
     eps = config.noise * normals(stream(config.master_seed, rep_index, "noise"), (n, T))
     x = normals(stream(config.master_seed, rep_index, "covariates"), (n, T, K)) \
         if K else np.zeros((n, T, 0))
-    a = config.a_scale * normals(stream(config.master_seed, rep_index, "group_effects"),
-                                 config.G)
+    a = normals(stream(config.master_seed, rep_index, "group_effects"), config.G)
 
     truth: dict[str, Any] = {"kind": config.kind, "beta": beta.tolist()}
     y = (x @ beta if K else 0.0) + eps
 
     if config.kind in ("A", "B", "E"):
-        b = config.b_scale * normals(stream(config.master_seed, rep_index, "time_effects"), T)
+        b = normals(stream(config.master_seed, rep_index, "time_effects"), T)
         y = y + a[gmap.codes][:, None] + b[None, :]
         if config.kind == "B":
             kappa_eff = config.kappa * config.noise
@@ -143,9 +149,12 @@ class RepRecord:
 @dataclass
 class McResult:
     config: DgpConfig
-    test: str
     levels: tuple[float, ...]
     records: list[RepRecord]
+
+    @property
+    def test(self) -> str:
+        return self.config.test
 
     @property
     def reps(self) -> int:
@@ -185,12 +194,11 @@ class McResult:
         return rate, binomial_se(rate, count), count
 
 
-def _run_one(config: DgpConfig, test: str, levels: tuple[float, ...],
-             rep_index: int) -> RepRecord:
+def _run_one(config: DgpConfig, levels: tuple[float, ...], rep_index: int) -> RepRecord:
     rec = RepRecord(rep=rep_index)
     try:
         panel, gmap, _ = generate(config, rep_index)
-        if test == "classic":
+        if config.test == "classic":
             spec_1 = ModelSpec(gaussian_fixed_scale(config.K), individual_groups(config.n))
             spec_2 = ModelSpec(gaussian_fixed_scale(config.K), gmap)
             report: TestReport = run_classic_test(panel, spec_1, spec_2, level=levels[0])
@@ -203,22 +211,19 @@ def _run_one(config: DgpConfig, test: str, levels: tuple[float, ...],
         rec.qlr = comp.qlr
         rec.degenerate = report.degenerate
         if not report.degenerate:
-            omega = report.omega2_hat ** 0.5
-            rec.statistic = report.mqlr / omega
-            rec.raw_statistic = comp.qlr / omega
+            rec.statistic = report.statistic
+            rec.raw_statistic = comp.qlr / report.omega2_hat ** 0.5
             for level in levels:
-                z2, z1 = critical_values(level)
-                rec.reject_two[level] = bool(abs(rec.statistic) > z2)
-                rec.reject_one[level] = bool(rec.statistic > z1)
+                rec.reject_two[level], rec.reject_one[level] = rejects(rec.statistic, level)
     except PanelVuongError as exc:
         rec.failed = True
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def run_replications(config: DgpConfig, test: str | None = None,
-                     levels=(0.05,), reps: int = 1, n_jobs: int = 1) -> McResult:
-    """Run seeded replications of one test over one DGP.
+def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1,
+                     n_jobs: int = 1) -> McResult:
+    """Run seeded replications of the test that ``config.kind`` pairs with.
 
     The result is a pure function of (config, levels, reps): replication r
     draws only from streams keyed by (master_seed, r), and records are merged
@@ -233,21 +238,13 @@ def run_replications(config: DgpConfig, test: str | None = None,
     levels = tuple(float(p) for p in levels)
     if any(not 0.0 < p < 1.0 for p in levels) or not levels:
         raise ConfigError(f"levels must lie in (0, 1), got {levels}")
-    if test is None:
-        test = config.test
-    if test not in ("classic", "twfe"):
-        raise ConfigError(f"unknown test {test!r}")
-    if test != config.test:
-        raise ConfigError(
-            f"kind {config.kind} pairs with the {config.test} test, not {test}")
 
     workers = min(n_jobs, os.cpu_count() or 1, reps)
     if workers == 1:
-        records = [_run_one(config, test, levels, r) for r in range(reps)]
+        records = [_run_one(config, levels, r) for r in range(reps)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda r: _run_one(config, test, levels, r),
-                                    range(reps)))
+            records = list(pool.map(lambda r: _run_one(config, levels, r), range(reps)))
     records.sort(key=lambda rec: rec.rep)
 
     failures = sum(r.failed for r in records)
@@ -255,7 +252,7 @@ def run_replications(config: DgpConfig, test: str | None = None,
         first = next(r for r in records if r.failed)
         raise ConfigError(
             f"{failures}/{reps} replications failed; first error: {first.error}")
-    return McResult(config=config, test=test, levels=levels, records=records)
+    return McResult(config=config, levels=levels, records=records)
 
 
 @dataclass

@@ -16,13 +16,13 @@ import numpy as np
 from .errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 
-def _int_codes(codes, what: str) -> np.ndarray:
-    """Codes as a fresh int64 array; a value the cast would change is refused."""
-    raw = np.asarray(codes)
+def _int_array(values, what: str) -> np.ndarray:
+    """Values as a fresh int64 array; a value the cast would change is refused."""
+    raw = np.asarray(values)
     with np.errstate(invalid="ignore"):     # NaN and inf fail the check below
         out = raw.astype(np.int64)
     if not np.array_equal(out, raw):
-        raise OutOfRange(f"{what} codes must be whole numbers")
+        raise OutOfRange(f"{what} must be whole numbers")
     return out
 
 
@@ -99,7 +99,7 @@ class GroupMap:
     G: int
 
     def __post_init__(self):
-        codes = _int_codes(self.codes, "group")
+        codes = _int_array(self.codes, "group codes")
         if self.G < 1:
             raise OutOfRange(f"G must be >= 1, got {self.G}")
         if codes.ndim != 1:
@@ -146,18 +146,6 @@ def groups_from_labels(labels) -> tuple[GroupMap, dict]:
     return GroupMap(codes=codes, G=len(order)), order
 
 
-def group_partition(gmap: GroupMap, n: int) -> tuple[list, np.ndarray]:
-    """Partition {1..n} induced by the assignment.
-
-    Returns the member index arrays I_g and the sizes n_g.  The arrays are
-    pairwise disjoint, their union is {1..n}, and every size is >= 1.
-    """
-    if gmap.n != n:
-        raise OutOfRange(f"assignment covers {gmap.n} units, panel has {n}")
-    members = [gmap.members(g) for g in range(gmap.G)]
-    return members, gmap.sizes
-
-
 @dataclass(frozen=True)
 class TimeGroupMap:
     """Nondecreasing assignment of periods to contiguous blocks 1..M."""
@@ -166,7 +154,7 @@ class TimeGroupMap:
     M: int
 
     def __post_init__(self):
-        codes = _int_codes(self.codes, "time")
+        codes = _int_array(self.codes, "time codes")
         if self.M < 1:
             raise OutOfRange(f"M must be >= 1, got {self.M}")
         if codes.ndim != 1 or codes.size == 0:
@@ -196,7 +184,7 @@ def single_block(T: int) -> TimeGroupMap:
 
 def blocks_from_sizes(sizes) -> TimeGroupMap:
     """Build contiguous time blocks from their lengths."""
-    sizes = [int(s) for s in sizes]
+    sizes = _int_array(sizes, "time block sizes").tolist()
     if any(s < 1 for s in sizes):
         raise EmptyGroup("every time block needs at least one period")
     codes = np.repeat(np.arange(len(sizes)), sizes)

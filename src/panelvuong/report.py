@@ -1,7 +1,8 @@
 """Test reports and their machine-readable document form.
 
 A :class:`TestReport` is what either test returns: the standardized statistic
-with two- and one-sided decisions at the requested level, upper-tail p-values
+with two- and one-sided decisions at the requested level (:func:`rejects`,
+which the Monte Carlo records use too), upper-tail p-values
 taken from ``math.erfc`` (no ``1 - cdf`` cancellation), the degeneracy flag,
 and every scalar component that went into the statistic.
 :func:`to_document` flattens a report into the versioned JSON schema used by
@@ -44,6 +45,12 @@ class TestReport:
 DEGENERACY_REL = 1e-14
 
 
+def rejects(statistic: float, level: float) -> tuple[bool, bool]:
+    """Two- and one-sided decisions: the statistic against the normal critical values."""
+    z_two, z_one = critical_values(level)
+    return bool(abs(statistic) > z_two), bool(statistic > z_one)
+
+
 def decide(test: str, mqlr: float, omega2: float, level: float,
            components: Any, warnings: list[str]) -> TestReport:
     """Assemble decisions and p-values from a statistic and its variance."""
@@ -58,9 +65,8 @@ def decide(test: str, mqlr: float, omega2: float, level: float,
             reject_two=None, reject_one=None,
             degenerate=True, degenerate_reason="models indistinguishable",
             components=components, warnings=warnings)
-    omega = omega2 ** 0.5
-    stat = mqlr / omega
-    z_two, z_one = critical_values(level)
+    stat = mqlr / omega2 ** 0.5
+    reject_two, reject_one = rejects(stat, level)
     # upper tails straight from erfc: 1 - cdf would cancel to 0 for large stat
     scaled = stat / math.sqrt(2.0)
     return TestReport(
@@ -68,8 +74,7 @@ def decide(test: str, mqlr: float, omega2: float, level: float,
         statistic=stat,
         p_two_sided=math.erfc(abs(scaled)),
         p_one_sided=0.5 * math.erfc(scaled),
-        reject_two=bool(abs(mqlr) > omega * z_two),
-        reject_one=bool(mqlr > omega * z_one),
+        reject_two=reject_two, reject_one=reject_one,
         degenerate=False, degenerate_reason=None,
         components=components, warnings=warnings)
 

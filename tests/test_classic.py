@@ -262,6 +262,21 @@ class TestRunClassicTest:
         assert report.reject_two == (abs(report.statistic) > normal_quantile(0.975))
         assert report.reject_one == (report.statistic > normal_quantile(0.95))
 
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_group_effects_absorbed(self, rng, K):
+        # both models absorb a_g(i), so no scale of it moves the test; this is
+        # why the simulated effects carry no scale setting
+        panel = random_panel(rng, 30, 20, K)
+        gmap = random_groups(rng, 30, 4)
+        a = 1e3 * rng.normal(size=4)
+        shifted = make_panel(panel.y + a[gmap.codes][:, None], panel.x if K else None)
+        spec1 = ModelSpec(gaussian_fixed_scale(K), individual_groups(30))
+        spec2 = ModelSpec(gaussian_fixed_scale(K), gmap)
+        base = run_classic_test(panel, spec1, spec2)
+        moved = run_classic_test(shifted, spec1, spec2)
+        assert abs(moved.statistic - base.statistic) <= 1e-9
+        assert (moved.reject_two, moved.reject_one) == (base.reject_two, base.reject_one)
+
     def test_label_invariance_within_groups(self, rng):
         panel = random_panel(rng, 8, 6, 0)
         gmap = GroupMap(codes=np.array([0, 0, 0, 0, 1, 1, 1, 1]), G=2)

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import load_csv_rows
 from panelvuong import DgpConfig, generate
-from panelvuong.cli import CsvSchema, load_csv, main
+from panelvuong.cli import CsvSchema, build_parser, load_csv, main
 from panelvuong.errors import GroupDrift, PanelVuongError, ParseError, Unbalanced
 from panelvuong.rng import GENERATOR_VERSION
 
@@ -370,6 +370,25 @@ class TestCmdSimulate:
                           "generator_version")
         assert len(rows) == 4
         assert all(row.split(",")[-1] == str(GENERATOR_VERSION) for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2", "--reps", "2",
+         "--out-dir", "x", "--a-scale", "2"],
+        ["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2", "--reps", "2",
+         "--out-dir", "x", "--b-scale", "2"],
+        ["test", "classic", "--input", "p.csv", "--model2-group-col", "region",
+         "--model1-group-col", "region"]])
+    def test_removed_flags_refused(self, argv):
+        # the effect scales cannot move a statistic, and model 1 always has one
+        # group per unit, so these flags are gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        code = main(["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2",
+                     "--reps", "2", "--seed", "-1", "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: master_seed must be nonnegative")
 
     def test_negative_c_exit_1(self, tmp_path, capsys):
         code = main(["simulate", "--kind", "E", "--n", "10", "--T", "8", "--G", "2",

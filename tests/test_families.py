@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from panelvuong import (LikelihoodFamily, check_derivatives, eval_derivatives,
-                        eval_psi, gaussian_fixed_scale, gaussian_full_scale)
+from panelvuong import (LikelihoodFamily, check_derivatives, gaussian_fixed_scale,
+                        gaussian_full_scale)
 from panelvuong.errors import DomainError
 
 NO_X = np.zeros(0)
@@ -25,21 +25,21 @@ def sample_points(rng, family, count):
 class TestEvalPsi:
     def test_fixed_scale_zero_residual(self):
         fam = gaussian_fixed_scale(0)
-        assert eval_psi(fam, 1.0, NO_X, np.zeros(0), 1.0) == 0.0
+        assert fam.psi(1.0, NO_X, np.zeros(0), 1.0) == 0.0
 
     def test_fixed_scale_residual_two(self):
         fam = gaussian_fixed_scale(1)
         # y=3, x'theta=1, gamma=0 -> -(2)^2/2
-        assert eval_psi(fam, 3.0, np.array([1.0]), np.array([1.0]), 0.0) == -2.0
+        assert fam.psi(3.0, np.array([1.0]), np.array([1.0]), 0.0) == -2.0
 
     def test_full_scale_zero_residual_unit_variance(self):
         fam = gaussian_full_scale(0)
-        assert eval_psi(fam, 1.0, NO_X, np.array([1.0]), 1.0) == 0.0
+        assert fam.psi(1.0, NO_X, np.array([1.0]), 1.0) == 0.0
 
     def test_full_scale_domain_error(self):
         fam = gaussian_full_scale(0)
         with pytest.raises(DomainError):
-            eval_psi(fam, 1.0, NO_X, np.array([-0.5]), 0.0)
+            fam.psi(1.0, NO_X, np.array([-0.5]), 0.0)
 
     def test_vectorized_evaluation(self):
         fam = gaussian_fixed_scale(1)
@@ -53,26 +53,28 @@ class TestEvalPsi:
 class TestEvalDerivatives:
     def test_fixed_scale_residual_two(self):
         fam = gaussian_fixed_scale(0)
-        _, g, gg = eval_derivatives(fam, 2.0, NO_X, np.zeros(0), 0.0)
+        g = fam.psi_gamma(2.0, NO_X, np.zeros(0), 0.0)
+        gg = fam.psi_gammagamma(2.0, NO_X, np.zeros(0), 0.0)
         assert float(g) == 2.0
         assert float(gg) == -1.0
 
     def test_fixed_scale_stationary(self):
         fam = gaussian_fixed_scale(0)
-        _, g, _ = eval_derivatives(fam, 1.0, NO_X, np.zeros(0), 1.0)
+        g = fam.psi_gamma(1.0, NO_X, np.zeros(0), 1.0)
         assert float(g) == 0.0
 
     def test_full_scale_hand_derived(self):
         # residual 1 at scale 2: d/dgamma = 1/2, second derivative = -1/2
         fam = gaussian_full_scale(0)
-        _, g, gg = eval_derivatives(fam, 1.0, NO_X, np.array([2.0]), 0.0)
+        g = fam.psi_gamma(1.0, NO_X, np.array([2.0]), 0.0)
+        gg = fam.psi_gammagamma(1.0, NO_X, np.array([2.0]), 0.0)
         assert float(g) == pytest.approx(0.5)
         assert float(gg) == pytest.approx(-0.5)
 
     def test_fixed_scale_theta_gradient(self):
         fam = gaussian_fixed_scale(2)
         x = np.array([1.0, -2.0])
-        t, _, _ = eval_derivatives(fam, 5.0, x, np.array([1.0, 1.0]), 0.0)
+        t = fam.psi_theta(5.0, x, np.array([1.0, 1.0]), 0.0)
         # residual = 5 - (1 - 2) = 6
         assert np.allclose(t, x * 6.0)
 

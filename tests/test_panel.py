@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelvuong import (GroupMap, PanelData, TimeGroupMap, blocks_from_sizes,
-                        group_partition, groups_from_labels, individual_groups,
-                        make_panel, pooled_groups, single_block, validate_panel)
+                        groups_from_labels, individual_groups, make_panel,
+                        pooled_groups, single_block, validate_panel)
 from panelvuong.errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 
@@ -84,18 +84,20 @@ class TestValidatePanel:
 
 class TestGroupPartition:
     def test_identity_map(self):
-        members, sizes = group_partition(individual_groups(3), 3)
+        gmap = individual_groups(3)
+        members, sizes = [gmap.members(g) for g in range(gmap.G)], gmap.sizes
         assert [m.tolist() for m in members] == [[0], [1], [2]]
         assert sizes.tolist() == [1, 1, 1]
 
     def test_pooled_map(self):
-        members, sizes = group_partition(pooled_groups(5), 5)
+        gmap = pooled_groups(5)
+        members, sizes = [gmap.members(g) for g in range(gmap.G)], gmap.sizes
         assert members[0].tolist() == [0, 1, 2, 3, 4]
         assert sizes.tolist() == [5]
 
     def test_two_blocks(self):
         gmap = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
-        members, sizes = group_partition(gmap, 4)
+        members = [gmap.members(g) for g in range(gmap.G)]
         assert members[0].tolist() == [0, 1]
         assert members[1].tolist() == [2, 3]
 
@@ -117,17 +119,13 @@ class TestGroupPartition:
         codes = GroupMap(codes=[0.0, 1.0, 1.0], G=2).codes
         assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
 
-    def test_size_mismatch(self):
-        with pytest.raises(OutOfRange):
-            group_partition(individual_groups(3), 4)
-
     @given(st.lists(st.integers(0, 4), min_size=5, max_size=40))
     def test_partition_completeness(self, raw):
         codes = np.array(raw)
         got = np.unique(codes)
         codes = np.searchsorted(got, codes)   # compress to contiguous labels
         gmap = GroupMap(codes=codes, G=len(got))
-        members, sizes = group_partition(gmap, len(raw))
+        members, sizes = [gmap.members(g) for g in range(gmap.G)], gmap.sizes
         assert sizes.sum() == len(raw)
         assert sorted(np.concatenate(members).tolist()) == list(range(len(raw)))
 
@@ -174,3 +172,9 @@ class TestTimeGroupMap:
     def test_empty_block_rejected(self):
         with pytest.raises(EmptyGroup):
             blocks_from_sizes([2, 0, 1])
+
+    def test_fractional_block_sizes_rejected(self):
+        # a size is a count of periods; 2.5 must not become 2
+        with pytest.raises(OutOfRange, match="whole numbers"):
+            blocks_from_sizes([2.5, 1])
+        assert blocks_from_sizes([2.0, 1.0]).codes.tolist() == [0, 0, 1]

@@ -6,7 +6,7 @@ from scipy import stats as sstats
 
 from panelvuong import normal_quantile
 from panelvuong.errors import NonFinite, OutOfRange
-from panelvuong.report import decide
+from panelvuong.report import decide, rejects
 from panelvuong.stats import critical_values
 
 
@@ -29,6 +29,20 @@ class TestDecide:
         assert above.reject_two and not below.reject_two
         assert below.reject_one and below.statistic > z_one
         assert above.p_two_sided < 0.05 < below.p_two_sided
+
+    def test_decisions_follow_the_statistic(self):
+        # |mqlr| > omega * z and |mqlr / omega| > z differ here by one rounding;
+        # the report must decide on the statistic it reports
+        report = decide("twfe", 1.9908619914878, 1.0317776798228409, 0.05, {}, [])
+        z_two, z_one = critical_values(0.05)
+        assert not abs(report.statistic) > z_two
+        assert report.reject_two is False
+        assert (report.reject_two, report.reject_one) == rejects(report.statistic, 0.05)
+
+    @pytest.mark.parametrize("stat", [-3.0, -1.7, 0.0, 1.7, 3.0])
+    def test_rejects_against_critical_values(self, stat):
+        z_two, z_one = critical_values(0.05)
+        assert rejects(stat, 0.05) == (abs(stat) > z_two, stat > z_one)
 
     @pytest.mark.parametrize("s", [3.0, 8.0, 9.0, 12.0, 30.0, -9.0])
     def test_p_values_far_in_the_tails(self, s):

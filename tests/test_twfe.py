@@ -210,6 +210,19 @@ class TestRunTwfeTest:
             assert getattr(comp, name) == pytest.approx(getattr(comp_p, name),
                                                         abs=1e-10)
 
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_group_and_time_effects_absorbed(self, rng, K):
+        # both models absorb a_g(i) + b_t, so no scale of them moves the test;
+        # this is why the simulated effects carry no scale setting
+        panel = random_panel(rng, 30, 20, K)
+        gmap = random_groups(rng, 30, 4)
+        a, b = 1e3 * rng.normal(size=4), 1e3 * rng.normal(size=20)
+        shifted = make_panel(panel.y + a[gmap.codes][:, None] + b[None, :],
+                             panel.x if K else None)
+        base, moved = run_twfe_test(panel, gmap), run_twfe_test(shifted, gmap)
+        assert abs(moved.statistic - base.statistic) <= 1e-9
+        assert (moved.reject_two, moved.reject_one) == (base.reject_two, base.reject_one)
+
     def test_degenerate_on_additive_data(self, rng):
         a = rng.normal(size=6)
         b = rng.normal(size=5)
