@@ -230,7 +230,7 @@ def cmd_simulate(args) -> int:
     config = DgpConfig(kind=args.kind, n=args.n, T=args.T, G=args.G, K=args.K,
                        noise=args.noise, kappa=args.kappa, c=args.c,
                        master_seed=args.seed)
-    mc = run_replications(config, levels=levels, reps=args.reps, n_jobs=args.jobs)
+    mc = run_replications(config, levels=levels, reps=args.reps)
     summary = summarize(mc)
 
     out_dir = Path(args.out_dir)
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--levels", default="0.05", help="comma-separated levels")
-    sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--out-dir", required=True)
     return parser
 

@@ -17,15 +17,12 @@ Group and time effects are standard normal and have no scale setting: both
 models of each test absorb them, so their scale cannot enter the statistic.
 
 Every replication is a pure function of (master seed, replication index):
-each variate family draws from its own counter-based stream, so results are
-identical no matter how replications are scheduled across workers.
+each variate family draws from its own counter-based stream.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -70,6 +67,9 @@ class DgpConfig:
             raise ConfigError(f"need n >= 2 and T >= 2, got n={self.n}, T={self.T}")
         if not 1 <= self.G <= self.n:
             raise ConfigError(f"need 1 <= G <= n, got G={self.G}, n={self.n}")
+        for name in ("noise", "kappa", "c"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise <= 0:
             raise ConfigError(f"noise must be positive, got {self.noise}")
         if self.kappa < 0:
@@ -221,31 +221,22 @@ def _run_one(config: DgpConfig, levels: tuple[float, ...], rep_index: int) -> Re
     return rec
 
 
-def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1,
-                     n_jobs: int = 1) -> McResult:
+def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResult:
     """Run seeded replications of the test that ``config.kind`` pairs with.
 
     The result is a pure function of (config, levels, reps): replication r
-    draws only from streams keyed by (master_seed, r), and records are merged
-    in replication order, so ``n_jobs`` changes wall time but never output.
-    At most one worker thread per CPU core runs.
+    draws only from streams keyed by (master_seed, r).
     Failed replications are recorded, not fatal, unless they exceed 1%.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     levels = tuple(float(p) for p in levels)
     if any(not 0.0 < p < 1.0 for p in levels) or not levels:
         raise ConfigError(f"levels must lie in (0, 1), got {levels}")
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"levels must be distinct, got {levels}")
 
-    workers = min(n_jobs, os.cpu_count() or 1, reps)
-    if workers == 1:
-        records = [_run_one(config, levels, r) for r in range(reps)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda r: _run_one(config, levels, r), range(reps)))
-    records.sort(key=lambda rec: rec.rep)
+    records = [_run_one(config, levels, r) for r in range(reps)]
 
     failures = sum(r.failed for r in records)
     if failures > 0.01 * reps:

@@ -1,11 +1,11 @@
 """Counter-based random streams keyed by (master seed, replication, stream).
 
 Each replication draws from Philox streams addressed by a fixed integer
-triple, so results never depend on execution order or worker count.  Normal
-variates go through the package's own inverse CDF, so draws are identical
-across reruns and worker counts.  ``tests/test_rng.py`` pins their digests on
-x86-64 with numpy 2.4; ``np.log`` may round differently on other CPUs or
-numpy builds and move a tail draw by an ulp.
+triple, so results never depend on execution order.  Normal variates go
+through the package's own inverse CDF, so draws are identical across reruns.
+``tests/test_rng.py`` pins their digests on x86-64 with numpy 2.4; ``np.log``
+may round differently on other CPUs or numpy builds and move a tail draw by an
+ulp.
 """
 
 from __future__ import annotations

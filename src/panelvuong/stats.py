@@ -139,8 +139,9 @@ def normal_quantile(q):
 def critical_values(level: float) -> tuple[float, float]:
     """Two- and one-sided standard-normal critical values (z_two, z_one) at
     ``level``, computed once per level and reused by every test and
-    replication."""
-    return normal_quantile(1.0 - level / 2.0), normal_quantile(1.0 - level)
+    replication.  They come from the lower tail: ``1 - level`` would cancel
+    digits, and rounds to 1.0 once level is 1e-16 or below."""
+    return -normal_quantile(level / 2.0), -normal_quantile(level)
 
 
 def ks_distance(sample) -> float:

@@ -33,7 +33,7 @@ R_LOCAL = 1000
 
 def _null_campaign(kind, n, seed):
     config = DgpConfig(kind=kind, n=n, T=n, G=10, K=1, master_seed=seed)
-    return run_replications(config, reps=R_SIZE, n_jobs=4)
+    return run_replications(config, reps=R_SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +197,7 @@ class TestCriterion07Power:
     def test_one_sided_power(self, kind):
         config = DgpConfig(kind=kind, n=100, T=100, G=10, K=1, kappa=0.5,
                            master_seed=SEED_POWER)
-        mc = run_replications(config, reps=R_POWER, n_jobs=4)
+        mc = run_replications(config, reps=R_POWER)
         rate, _, _ = mc.rejection_rate(0.05, "one")
         report(f"criterion 7 (power, kind {kind}, kappa=0.5, R={R_POWER}): "
                f"one-sided rate {rate:.4f} (need >= 0.9)")
@@ -210,7 +210,7 @@ class TestCriterion08LocalPower:
         for c in (0.0, 1.0, 2.0):
             config = DgpConfig(kind="E", n=100, T=100, G=10, K=1, c=c,
                                master_seed=SEED_LOCAL)
-            mc = run_replications(config, reps=R_LOCAL, n_jobs=4)
+            mc = run_replications(config, reps=R_LOCAL)
             rate, _, _ = mc.rejection_rate(0.05, "one")
             c_hat = float(mc.statistics().mean())
             gaps[c] = abs(rate - local_power_curve(c_hat, 0.05))
@@ -254,14 +254,13 @@ class TestCriterion11Determinism:
         args = ["simulate", "--kind", "A", "--n", "20", "--T", "16", "--G", "4",
                 "--K", "1", "--reps", "50", "--seed", "7", "--levels", "0.05,0.10"]
         outputs = []
-        for name, jobs in (("r1", "1"), ("r2", "1"), ("r4", "4")):
+        for name in ("r1", "r2"):
             out = tmp_path / name
-            assert main(args + ["--out-dir", str(out), "--jobs", jobs]) == 0
+            assert main(args + ["--out-dir", str(out)]) == 0
             outputs.append(((out / "size_power.csv").read_bytes(),
                             (out / "replications.jsonl").read_bytes()))
-        identical = outputs[0] == outputs[1] == outputs[2]
-        report(f"criterion 11 (determinism): byte-identical across reruns and "
-               f"1 vs 4 workers: {identical}")
+        identical = outputs[0] == outputs[1]
+        report(f"criterion 11 (determinism): byte-identical across reruns: {identical}")
         assert identical
 
 

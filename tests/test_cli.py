@@ -338,15 +338,6 @@ class TestCmdSimulate:
         assert (d1 / "replications.jsonl").read_bytes() == \
                (d2 / "replications.jsonl").read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        args = ["simulate", "--kind", "C", "--n", "10", "--T", "8", "--G", "2",
-                "--K", "0", "--reps", "12", "--seed", "3"]
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out-dir", str(d1), "--jobs", "1"]) == 0
-        assert main(args + ["--out-dir", str(d2), "--jobs", "4"]) == 0
-        assert (d1 / "replications.jsonl").read_bytes() == \
-               (d2 / "replications.jsonl").read_bytes()
-
     def test_zero_reps_exit_1(self, tmp_path, capsys):
         code = main(["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2",
                      "--reps", "0", "--out-dir", str(tmp_path / "x")])
@@ -377,10 +368,13 @@ class TestCmdSimulate:
         ["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2", "--reps", "2",
          "--out-dir", "x", "--b-scale", "2"],
         ["test", "classic", "--input", "p.csv", "--model2-group-col", "region",
-         "--model1-group-col", "region"]])
+         "--model1-group-col", "region"],
+        ["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2", "--reps", "2",
+         "--out-dir", "x", "--jobs", "2"]])
     def test_removed_flags_refused(self, argv):
-        # the effect scales cannot move a statistic, and model 1 always has one
-        # group per unit, so these flags are gone
+        # the effect scales cannot move a statistic, model 1 always has one
+        # group per unit, and replications run in one serial loop, so these
+        # flags are gone
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
@@ -395,3 +389,10 @@ class TestCmdSimulate:
                      "--reps", "2", "--c", "-1", "--out-dir", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: c must be nonnegative")
+
+    def test_non_finite_kappa_exit_1(self, tmp_path, capsys):
+        # nan > 0 is false, so a NaN signal used to run as the null
+        code = main(["simulate", "--kind", "B", "--n", "10", "--T", "8", "--G", "2",
+                     "--reps", "2", "--kappa", "nan", "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: kappa must be finite")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from panelvuong import (DgpConfig, generate, local_power_curve, montecarlo,
-                        run_replications, summarize)
+from panelvuong import (DgpConfig, generate, local_power_curve, run_replications,
+                        summarize)
 from panelvuong.errors import ConfigError, Empty
 from panelvuong.montecarlo import (McResult, RepRecord, block_groups,
                                    replications_jsonl, size_power_csv)
@@ -24,7 +24,11 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [dict(n=1), dict(T=1), dict(G=0),
                                      dict(G=20), dict(noise=0.0),
                                      dict(kappa=-1.0), dict(K=-1),
-                                     dict(kind="E", c=-3.0)])
+                                     dict(kind="E", c=-3.0),
+                                     dict(kind="B", kappa=np.nan),
+                                     dict(kind="E", c=np.nan),
+                                     dict(noise=np.inf), dict(noise=np.nan),
+                                     dict(kind="D", kappa=np.inf)])
     def test_invalid_dimensions(self, bad):
         with pytest.raises(ConfigError):
             cfg(**bad)
@@ -104,13 +108,6 @@ class TestRunReplications:
         assert [r.mqlr for r in mc1.records] == [r.mqlr for r in mc2.records]
         assert [r.rep for r in mc1.records] == list(range(20))
 
-    def test_parallel_identical(self):
-        serial = run_replications(cfg(), reps=16, n_jobs=1)
-        threaded = run_replications(cfg(), reps=16, n_jobs=4)
-        assert [r.mqlr for r in serial.records] == [r.mqlr for r in threaded.records]
-        assert [r.reject_two for r in serial.records] == \
-               [r.reject_two for r in threaded.records]
-
     def test_bad_reps(self):
         with pytest.raises(ConfigError):
             run_replications(cfg(), reps=0)
@@ -118,30 +115,9 @@ class TestRunReplications:
     def test_bad_levels(self):
         with pytest.raises(ConfigError):
             run_replications(cfg(), levels=(0.0,), reps=2)
-
-    @pytest.mark.parametrize("n_jobs", [0, -3])
-    def test_bad_jobs(self, n_jobs):
-        with pytest.raises(ConfigError, match="n_jobs"):
-            run_replications(cfg(), reps=2, n_jobs=n_jobs)
-
-    @pytest.mark.parametrize("cores, n_jobs, reps, workers", [
-        (2, 5000, 6, 2), (8, 5000, 3, 3), (8, 4, 16, 4), (None, 4, 6, None),
-        (8, 1, 6, None)])
-    def test_pool_capped_at_cores_and_reps(self, monkeypatch, cores, n_jobs, reps,
-                                           workers):
-        # records the pool size asked for; never starts more than one thread
-        real_pool = montecarlo.concurrent.futures.ThreadPoolExecutor
-        asked = []
-
-        def recorder(max_workers):
-            asked.append(max_workers)
-            return real_pool(max_workers=1)
-        serial = run_replications(cfg(), reps=reps)
-        monkeypatch.setattr(montecarlo.concurrent.futures, "ThreadPoolExecutor", recorder)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
-        pooled = run_replications(cfg(), reps=reps, n_jobs=n_jobs)
-        assert asked == ([] if workers is None else [workers])
-        assert [r.mqlr for r in pooled.records] == [r.mqlr for r in serial.records]
+        # a repeated level would write its size/power rows twice
+        with pytest.raises(ConfigError, match="distinct"):
+            run_replications(cfg(), levels=(0.05, 0.05), reps=2)
 
     def test_classic_kind_runs(self):
         mc = run_replications(cfg(kind="C", n=15, T=10, G=3), reps=5)

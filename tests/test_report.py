@@ -62,8 +62,16 @@ class TestDecide:
 class TestCriticalValues:
     @pytest.mark.parametrize("level", [0.01, 0.05, 0.1])
     def test_equal_to_quantiles(self, level):
-        assert critical_values(level) == (normal_quantile(1.0 - level / 2.0),
-                                          normal_quantile(1.0 - level))
+        assert critical_values(level) == (-normal_quantile(level / 2.0),
+                                          -normal_quantile(level))
+
+    @pytest.mark.parametrize("level", [1e-10, 1e-17])
+    def test_small_levels_match_scipy(self, level):
+        # from the lower tail: 1 - level / 2 cancels digits at 1e-10 and
+        # rounds to 1.0 at 1e-16 and below
+        z_two, z_one = critical_values(level)
+        assert z_two == pytest.approx(sstats.norm.isf(level / 2.0), rel=1e-15)
+        assert z_one == pytest.approx(sstats.norm.isf(level), rel=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
