@@ -17,7 +17,7 @@ from .estimation import (FitResult, GroupedTimeFit, ModelSpec, TwfeFit,
 from .classic import (ClassicComponents, classic_components, omega2_hybrid,
                       run_classic_test)
 from .twfe import (TwfeTestComponents, bias_hat, omega2_twfe, qlr_twfe,
-                   run_twfe_test, sigma2_u_direct, twfe_components)
+                   run_twfe_test, twfe_components)
 from .report import TestReport, render_csv, render_json, to_document
 from .montecarlo import (DgpConfig, McResult, Summary, block_groups, generate,
                          local_power_curve, run_replications, summarize)
@@ -45,7 +45,7 @@ __all__ = [
     "run_classic_test",
     # twfe
     "TwfeTestComponents", "bias_hat", "omega2_twfe", "qlr_twfe",
-    "run_twfe_test", "sigma2_u_direct", "twfe_components",
+    "run_twfe_test", "twfe_components",
     # report
     "TestReport", "render_csv", "render_json", "to_document",
     # montecarlo

@@ -198,13 +198,19 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
     The bias corrections, mqlr, sigma2_u and sigma2_s use the dof-rescaled
     per-unit moments; the per-unit arrays and sigma2_u_raw are raw.  For
     same-family pairs the models are nested and omega2 is sigma2_u, the
-    variance under the null; other pairs take the hybrid max rule.
+    variance under the null; other pairs take the hybrid max rule.  The two
+    fits and their group maps must be of one panel.
     """
     n, T = fit_1.score_gamma.shape
-    if fit_1.spec.gmap.G != n:
+    gmap_1, gmap_2 = fit_1.spec.gmap, fit_2.spec.gmap
+    if fit_2.score_gamma.shape != (n, T) or gmap_1.n != n or gmap_2.n != n:
+        raise GroupingViolation(
+            f"fits are not of one panel: scores {(n, T)} and {fit_2.score_gamma.shape}, "
+            f"group maps cover {gmap_1.n} and {gmap_2.n} units")
+    if gmap_1.G != n:
         raise GroupingViolation(
             f"model 1 must give each unit its own group (G = n = {n}), "
-            f"got G = {fit_1.spec.gmap.G}")
+            f"got G = {gmap_1.G}")
     info_1 = _unit_info(fit_1)
     info_2 = _unit_info(fit_2)
     score_1, score_2 = fit_1.score_gamma, fit_2.score_gamma
@@ -250,7 +256,7 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
         nested=nested,
         n=n,
         T=T,
-        g_2=fit_2.spec.gmap.G,
+        g_2=gmap_2.G,
     )
 
 

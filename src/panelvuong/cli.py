@@ -10,7 +10,6 @@ import argparse
 import csv
 import datetime
 import io
-import json
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -42,10 +41,6 @@ class CsvSchema:
     y_col: str = "y"
     x_cols: list[str] = field(default_factory=list)
     group_cols: list[str] = field(default_factory=list)
-
-
-# the --schema object names columns only; groupings come from their own flags
-SCHEMA_KEYS = ("unit_col", "time_col", "y_col", "x_cols")
 
 
 def _raise_first_bad_row(rows, idx: dict, schema: CsvSchema) -> None:
@@ -164,29 +159,6 @@ def load_csv(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], d
     return make_panel(y.reshape(n, T), x.reshape(n, T, K) if K else None), gmaps, label_maps
 
 
-def _schema_from_args(args) -> CsvSchema:
-    if args.schema:
-        try:
-            raw = json.loads(args.schema)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--schema is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"--schema must be a JSON object, got {args.schema!r}")
-        for key in raw:
-            if key not in SCHEMA_KEYS:
-                hint = ("; name groupings with --group-col or --model2-group-col"
-                        if key == "group_cols" else "")
-                raise ConfigError(f"--schema key {key!r} is not one of "
-                                  f"{', '.join(SCHEMA_KEYS)}{hint}")
-        cols = raw.get("x_cols", [])
-        if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
-            raise ConfigError("--schema x_cols must be a list of column names")
-        return CsvSchema(**raw)
-    x_cols = [c for c in (args.x_cols or "").split(",") if c]
-    return CsvSchema(unit_col=args.unit_col, time_col=args.time_col,
-                     y_col=args.y_col, x_cols=x_cols, group_cols=[])
-
-
 def _write_report(report, args, *, digest=None, label_maps=None) -> None:
     timestamp = None
     if args.timestamp:
@@ -201,9 +173,10 @@ def _write_report(report, args, *, digest=None, label_maps=None) -> None:
 
 
 def cmd_test(args) -> int:
-    schema = _schema_from_args(args)
     group_col = args.group_col if args.subcommand == "twfe" else args.model2_group_col
-    schema.group_cols = [group_col]
+    schema = CsvSchema(unit_col=args.unit_col, time_col=args.time_col, y_col=args.y_col,
+                       x_cols=[c for c in args.x_cols.split(",") if c],
+                       group_cols=[group_col])
 
     panel, gmaps, label_maps = load_csv(args.input, schema)
     digest = file_digest(args.input)
@@ -256,11 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--input", required=True, help="panel CSV file")
-        p.add_argument("--schema", help="JSON schema object "
-                       '(e.g. \'{"unit_col":"id","x_cols":["x1"]}\')')
-        p.add_argument("--unit-col", default="unit")
-        p.add_argument("--time-col", default="time")
-        p.add_argument("--y-col", default="y")
+        p.add_argument("--unit-col", default=CsvSchema.unit_col)
+        p.add_argument("--time-col", default=CsvSchema.time_col)
+        p.add_argument("--y-col", default=CsvSchema.y_col)
         p.add_argument("--x-cols", default="", help="comma-separated covariate columns")
         p.add_argument("--level", type=float, default=0.05)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")

@@ -78,6 +78,19 @@ class DgpConfig:
             raise ConfigError(f"c must be nonnegative, got {self.c}")
         if self.K < 0:
             raise ConfigError(f"K must be nonnegative, got {self.K}")
+        if not np.isfinite(self.signal):
+            raise ConfigError(f"effective signal scale of kind {self.kind} must be "
+                              f"finite, got {self.signal}")
+
+    @property
+    def signal(self) -> float:
+        """Effective signal scale: kappa*noise for kinds B and D,
+        c*noise*(nT)^(-1/4) for kind E, 0 for the nulls A and C."""
+        if self.kind in ("B", "D"):
+            return self.kappa * self.noise
+        if self.kind == "E":
+            return self.c * self.noise * (self.n * self.T) ** -0.25
+        return 0.0
 
     @property
     def test(self) -> str:
@@ -102,31 +115,24 @@ def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap, di
         if K else np.zeros((n, T, 0))
     a = normals(stream(config.master_seed, rep_index, "group_effects"), config.G)
 
-    truth: dict[str, Any] = {"kind": config.kind, "beta": beta.tolist()}
+    signal = config.signal
+    truth: dict[str, Any] = {"kind": config.kind, "beta": beta.tolist(),
+                             "kappa_effective": signal}
     y = (x @ beta if K else 0.0) + eps
 
     if config.kind in ("A", "B", "E"):
         b = normals(stream(config.master_seed, rep_index, "time_effects"), T)
         y = y + a[gmap.codes][:, None] + b[None, :]
-        if config.kind == "B":
-            kappa_eff = config.kappa * config.noise
-        elif config.kind == "E":
-            kappa_eff = config.c * config.noise * (n * T) ** -0.25
-        else:
-            kappa_eff = 0.0
-        if kappa_eff > 0.0:
+        if signal > 0.0:
             eta = normals(stream(config.master_seed, rep_index, "interaction"),
                           (config.G, T))
-            y = y + kappa_eff * eta[gmap.codes]
-        truth["kappa_effective"] = kappa_eff
+            y = y + signal * eta[gmap.codes]
     else:  # kinds C, D: time-invariant unit effects
         alpha = a[gmap.codes]
-        kappa_eff = config.kappa * config.noise if config.kind == "D" else 0.0
-        if kappa_eff > 0.0:
+        if signal > 0.0:
             u = normals(stream(config.master_seed, rep_index, "unit_deviations"), n)
-            alpha = alpha + kappa_eff * u
+            alpha = alpha + signal * u
         y = y + alpha[:, None]
-        truth["kappa_effective"] = kappa_eff
 
     return make_panel(y, x if K else None), gmap, truth
 

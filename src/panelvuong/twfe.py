@@ -74,12 +74,13 @@ def qlr_twfe(resid_1: np.ndarray, resid_2: np.ndarray) -> float:
     return float((resid_2 ** 2 - resid_1 ** 2).sum() / (2.0 * np.sqrt(n * T)))
 
 
-def dof_factors(gmap: GroupMap, n: int, T: int) -> tuple[np.ndarray, float]:
+def dof_factors(gmap: GroupMap, T: int) -> tuple[np.ndarray, float]:
     """Per-unit model-1 factor n_g/(n_g - 1) and scalar model-2 factor.
 
     Singleton groups get factor 1: their cells are fit exactly, so the
     rescaled moment stays zero regardless.
     """
+    n = gmap.n
     sizes = gmap.sizes.astype(float)[gmap.codes]
     a = np.where(sizes > 1.0, sizes / np.maximum(sizes - 1.0, 1.0), 1.0)
     b = (n * T) / ((n - 1.0) * (T - 1.0))
@@ -100,18 +101,8 @@ def bias_hat(sigma2_1: np.ndarray, sigma2_2: np.ndarray, gmap: GroupMap,
     return float(bracket.sum() / (2.0 * np.sqrt(n * T)))
 
 
-def _group_sums(v1, v2, v12, gmap: GroupMap):
-    if np.asarray(v1).shape != (gmap.n,):
-        raise GroupingViolation(f"per-unit array has shape {np.asarray(v1).shape}, "
-                                f"expected ({gmap.n},)")
-    s1 = np.bincount(gmap.codes, weights=v1, minlength=gmap.G)
-    s2 = np.bincount(gmap.codes, weights=v2, minlength=gmap.G)
-    s12 = np.bincount(gmap.codes, weights=v12, minlength=gmap.G)
-    return s1, s2, s12
-
-
-def sigma2_u_direct(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
-                    gmap: GroupMap, T: int) -> float:
+def _sigma2_u(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
+              gmap: GroupMap, T: int) -> float:
     """Incidental-parameter variance term, term by term as displayed.
 
     Nonnegative for any input: an algebraically equal regrouping splits it
@@ -119,27 +110,22 @@ def sigma2_u_direct(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
     """
     n = gmap.n
     sizes = gmap.sizes.astype(float)
-    s1, s2, s12 = _group_sums(v1, v2, v12, gmap)
+    s1, s2, s12 = (np.bincount(gmap.codes, weights=v, minlength=gmap.G)
+                   for v in (v1, v2, v12))
     return float(
-        (np.asarray(v2) ** 2).sum() / (2.0 * n * T)
+        (v2 ** 2).sum() / (2.0 * n * T)
         + (s1 ** 2 / sizes ** 2).sum() / (2.0 * n)
         + s2.sum() ** 2 / (2.0 * n ** 3)
         - (s12 ** 2 / sizes).sum() / n ** 2
     )
 
 
-def _check_covers(panel: PanelData, gmap: GroupMap) -> None:
-    if gmap.n != panel.n:
-        raise GroupingViolation(f"group map covers {gmap.n} units, panel has {panel.n}")
-
-
 def run_twfe_test(panel: PanelData, gmap: GroupMap,
                   level: float = 0.05) -> TestReport:
     """Fit both linear models and run the comparison at the given level."""
-    _check_covers(panel, gmap)
-    fit_1 = fit_grouped_time(panel, gmap)
-    fit_2 = fit_twfe(panel)
-    comp = twfe_components(panel, fit_1, fit_2, gmap)
+    if gmap.n != panel.n:
+        raise GroupingViolation(f"group map covers {gmap.n} units, panel has {panel.n}")
+    comp = twfe_components(fit_grouped_time(panel, gmap), fit_twfe(panel))
 
     warnings = []
     if gmap.G == panel.n:
@@ -149,32 +135,31 @@ def run_twfe_test(panel: PanelData, gmap: GroupMap,
     return decide("twfe", comp.mqlr, comp.omega2, level, comp, warnings)
 
 
-def twfe_components(panel: PanelData, fit_1: GroupedTimeFit, fit_2: TwfeFit,
-                    gmap: GroupMap) -> TwfeTestComponents:
+def twfe_components(fit_1: GroupedTimeFit, fit_2: TwfeFit) -> TwfeTestComponents:
     """Statistic and variance of the twfe test from one per-unit moment pass.
 
-    sigma2_nt may be tiny-negative in pathological samples and is not
-    clamped.
+    n and T come from the residuals and the group map from ``fit_1``; the
+    two fits and the map must be of one panel.  sigma2_nt may be
+    tiny-negative in pathological samples and is not clamped.
     """
-    _check_covers(panel, gmap)
-    n, T = panel.n, panel.T
-    e1, e2 = fit_1.residuals, fit_2.residuals
-    for e in (e1, e2):
-        if e.shape != panel.y.shape:
-            raise GroupingViolation(
-                f"fit residuals {e.shape} do not match panel ({n}, {T})")
+    e1, e2, gmap = fit_1.residuals, fit_2.residuals, fit_1.gmap
+    n, T = e1.shape
+    if e2.shape != (n, T) or gmap.n != n:
+        raise GroupingViolation(
+            f"fits are not of one panel: residuals {e1.shape} and {e2.shape}, "
+            f"group map covers {gmap.n} units")
     qlr = qlr_twfe(e1, e2)
 
     # per-unit (sigma2_1, sigma2_2, sigma12), raw and then dof-rescaled
     raw1, raw2, raw12 = (e1 ** 2).mean(axis=1), (e2 ** 2).mean(axis=1), (e1 * e2).mean(axis=1)
-    a, b = dof_factors(gmap, n, T)
+    a, b = dof_factors(gmap, T)
     c1, c2, c12 = raw1 * a, raw2 * b, raw12 * np.sqrt(a * b)
     bias = bias_hat(c1, c2, gmap, T)
     mqlr = qlr - bias
     d = e2 ** 2 - e1 ** 2
     sigma2_nt = float((d ** 2).sum() / (4.0 * n * T) - mqlr ** 2 / (n * T))
-    sigma2_u = sigma2_u_direct(c1, c2, c12, gmap, T)
-    sigma2_u_raw = sigma2_u_direct(raw1, raw2, raw12, gmap, T)
+    sigma2_u = _sigma2_u(c1, c2, c12, gmap, T)
+    sigma2_u_raw = _sigma2_u(raw1, raw2, raw12, gmap, T)
     omega2 = omega2_twfe(sigma2_nt, sigma2_u)
 
     return TwfeTestComponents(

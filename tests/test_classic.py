@@ -158,6 +158,14 @@ class TestMqlr:
         with pytest.raises(GroupingViolation):
             classic_components(fit_coarse, fit2)
 
+    @pytest.mark.parametrize("shape_2", [(12, 7), (10, 8)], ids=["other_T", "other_n"])
+    def test_fits_of_two_panels_rejected(self, rng, shape_2):
+        # a typed error, not a numpy broadcast error
+        fit1, _ = fit_pair(random_panel(rng, 12, 8, 0), pooled_groups(12))
+        _, fit2 = fit_pair(random_panel(rng, *shape_2, 0), pooled_groups(shape_2[0]))
+        with pytest.raises(GroupingViolation, match="not of one panel"):
+            classic_components(fit1, fit2)
+
     def test_sign_favors_model_one_under_heterogeneity(self, rng):
         # strong within-group heterogeneity: the individual model fits better
         n, T = 40, 40

@@ -11,7 +11,7 @@ from panelvuong import (LikelihoodFamily, ModelSpec, TimeGroupMap, block_groups,
                         fit_grouped_time, fit_linear_cells, fit_profile_mle,
                         fit_twfe, foc_residuals, gaussian_fixed_scale,
                         gaussian_full_scale, individual_groups, make_panel,
-                        pooled_groups, single_block, twfe_components)
+                        pooled_groups, run_twfe_test, single_block)
 from panelvuong.errors import (DomainError, GroupingViolation, NoConvergence,
                                RankDeficient, SingularInformation)
 from panelvuong.panel import GroupMap, blocks_from_sizes
@@ -497,11 +497,9 @@ class TestGroupMapsCoverPanel:
         (lambda panel, short: foc_residuals(
             panel, fit_linear_cells(make_panel(panel.y[:5], panel.x[:5]), short)),
          RankDeficient),
-        (lambda panel, short: twfe_components(
-            panel, fit_grouped_time(panel, block_groups(6, 2)), fit_twfe(panel), short),
-         GroupingViolation),
+        (lambda panel, short: run_twfe_test(panel, short), GroupingViolation),
     ], ids=["fit_linear_cells", "fit_grouped_time", "fit_profile_mle", "foc_residuals",
-            "twfe_components"])
+            "run_twfe_test"])
     def test_short_map_rejected(self, rng, call, error):
         panel = random_panel(rng, 6, 4, 1)
         with pytest.raises(error, match="covers? "):

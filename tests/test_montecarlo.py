@@ -28,7 +28,8 @@ class TestConfig:
                                      dict(kind="B", kappa=np.nan),
                                      dict(kind="E", c=np.nan),
                                      dict(noise=np.inf), dict(noise=np.nan),
-                                     dict(kind="D", kappa=np.inf)])
+                                     dict(kind="D", kappa=np.inf),
+                                     dict(kind="B", kappa=1e200, noise=1e200)])
     def test_invalid_dimensions(self, bad):
         with pytest.raises(ConfigError):
             cfg(**bad)

@@ -14,7 +14,7 @@ from panelvuong.twfe import dof_factors
 
 
 def fitted_components(panel, gmap):
-    return twfe_components(panel, fit_grouped_time(panel, gmap), fit_twfe(panel), gmap)
+    return twfe_components(fit_grouped_time(panel, gmap), fit_twfe(panel))
 
 
 def residual_components(e1, e2, gmap):
@@ -25,12 +25,12 @@ def residual_components(e1, e2, gmap):
                            residuals=e1, gmap=gmap)
     fit_2 = TwfeFit(theta=np.zeros(0), alpha=np.zeros(n), delta=np.zeros(T),
                     residuals=e2)
-    return twfe_components(make_panel(np.zeros((n, T))), fit_1, fit_2, gmap)
+    return twfe_components(fit_1, fit_2)
 
 
 def scaled_moments(comp, gmap):
     """Dof-rescaled per-unit (sigma2_1, sigma2_2, sigma12) of a report."""
-    a, b = dof_factors(gmap, comp.n, comp.T)
+    a, b = dof_factors(gmap, comp.T)
     return comp.sigma2_1 * a, comp.sigma2_2 * b, comp.sigma12 * np.sqrt(a * b)
 
 
@@ -64,11 +64,15 @@ class TestResiduals:
         panel = random_panel(rng, 6, 5, 0)
         other = random_panel(rng, 4, 5, 0)
         gmap = pooled_groups(6)
-        with pytest.raises(GroupingViolation, match="do not match panel"):
-            twfe_components(panel, fit_grouped_time(panel, gmap), fit_twfe(other), gmap)
-        with pytest.raises(GroupingViolation, match="do not match panel"):
-            twfe_components(panel, fit_grouped_time(other, pooled_groups(4)),
-                            fit_twfe(panel), gmap)
+        with pytest.raises(GroupingViolation, match="not of one panel"):
+            twfe_components(fit_grouped_time(panel, gmap), fit_twfe(other))
+        with pytest.raises(GroupingViolation, match="not of one panel"):
+            twfe_components(fit_grouped_time(other, pooled_groups(4)), fit_twfe(panel))
+        # a map covering fewer units than the residual rows
+        short = GroupedTimeFit(theta=np.zeros(0), gamma_gt=np.zeros((1, 5)),
+                               residuals=rng.normal(size=(6, 5)), gmap=pooled_groups(4))
+        with pytest.raises(GroupingViolation, match="covers 4 units"):
+            twfe_components(short, fit_twfe(panel))
 
 
 class TestQlr:
@@ -166,7 +170,7 @@ class TestVarianceComponents:
 class TestDofFactors:
     def test_values(self):
         gmap = GroupMap(codes=np.array([0, 0, 0, 1]), G=2)
-        a, b = dof_factors(gmap, 4, 5)
+        a, b = dof_factors(gmap, 5)
         assert np.allclose(a, [1.5, 1.5, 1.5, 1.0])   # singleton group -> 1
         assert b == pytest.approx(20.0 / 12.0)
 
