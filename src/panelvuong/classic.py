@@ -117,10 +117,6 @@ def _check_classic_specs(panel: PanelData, spec_1: ModelSpec, spec_2: ModelSpec)
             f"model 1 must give each unit its own group (G = n = {panel.n}), "
             f"got G = {spec_1.gmap.G}")
     for label, spec in (("model 1", spec_1), ("model 2", spec_2)):
-        if spec.time_map(panel.T).M != 1:
-            raise GroupingViolation(
-                f"{label} uses {spec.time_map(panel.T).M} time blocks; the classic "
-                f"test supports time-invariant effects only (M = 1)")
         if spec.family.dof_rescaled:
             _residual_dof(panel.n, panel.T, spec.family.d_theta, label)
 
@@ -199,7 +195,8 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
     per-unit moments; the per-unit arrays and sigma2_u_raw are raw.  For
     same-family pairs the models are nested and omega2 is sigma2_u, the
     variance under the null; other pairs take the hybrid max rule.  The two
-    fits and their group maps must be of one panel.
+    fits and their group maps must be of one panel, model 1 must have one
+    group per unit, and neither fit may have time blocks (M = 1).
     """
     n, T = fit_1.score_gamma.shape
     gmap_1, gmap_2 = fit_1.spec.gmap, fit_2.spec.gmap
@@ -211,6 +208,11 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
         raise GroupingViolation(
             f"model 1 must give each unit its own group (G = n = {n}), "
             f"got G = {gmap_1.G}")
+    for label, fit in (("model 1", fit_1), ("model 2", fit_2)):
+        if fit.gamma.shape[1] != 1:
+            raise GroupingViolation(
+                f"{label} uses {fit.gamma.shape[1]} time blocks; the classic "
+                f"test supports time-invariant effects only (M = 1)")
     info_1 = _unit_info(fit_1)
     info_2 = _unit_info(fit_2)
     score_1, score_2 = fit_1.score_gamma, fit_2.score_gamma
@@ -283,4 +285,4 @@ def run_classic_test(panel: PanelData, spec_1: ModelSpec, spec_2: ModelSpec,
         warnings.append(NESTED_NOTE)
     elif comp.sigma2_u > comp.sigma2_nt + comp.sigma2_u - 2.0 * comp.sigma2_s:
         warnings.append(MAX_RULE_NOTE)
-    return decide("classic", comp.mqlr, comp.omega2, level, comp, warnings)
+    return decide("classic", comp, level, warnings)

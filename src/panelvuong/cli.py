@@ -164,7 +164,7 @@ def _write_report(report, args, *, digest=None, label_maps=None) -> None:
     if args.timestamp:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc = to_document(report, input_digest=digest, label_maps=label_maps,
-                      timestamp=timestamp, exact_floats=args.exact_floats)
+                      timestamp=timestamp)
     text = render_json(doc) if args.format == "json" else render_csv(doc)
     if args.out in (None, "-"):
         sys.stdout.write(text)
@@ -236,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=float, default=0.05)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--exact-floats", action="store_true",
-                       help="emit reals as 17-significant-digit strings")
         p.add_argument("--timestamp", action="store_true",
                        help="include a wall-clock timestamp (breaks byte-identical reruns)")
 

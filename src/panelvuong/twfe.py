@@ -132,7 +132,7 @@ def run_twfe_test(panel: PanelData, gmap: GroupMap,
         warnings.append(SATURATED_NOTE)
     elif np.any(gmap.sizes == 1):
         warnings.append(SINGLETON_NOTE)
-    return decide("twfe", comp.mqlr, comp.omega2, level, comp, warnings)
+    return decide("twfe", comp, level, warnings)
 
 
 def twfe_components(fit_1: GroupedTimeFit, fit_2: TwfeFit) -> TwfeTestComponents:

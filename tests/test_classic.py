@@ -166,6 +166,22 @@ class TestMqlr:
         with pytest.raises(GroupingViolation, match="not of one panel"):
             classic_components(fit1, fit2)
 
+    @pytest.mark.parametrize("slot", ["model 1", "model 2"])
+    def test_time_blocked_fit_rejected(self, rng, slot):
+        # the statistic assumes one effect per group (M = 1); fits with
+        # time blocks used to get one built as if M = 1
+        panel = random_panel(rng, 6, 6, 0)
+        blocks = blocks_from_sizes([3, 3])
+        fit1, fit2 = fit_pair(panel, pooled_groups(6))
+        if slot == "model 1":
+            fit1 = fit_model(panel, ModelSpec(gaussian_fixed_scale(0),
+                                              individual_groups(6), blocks))
+        else:
+            fit2 = fit_model(panel, ModelSpec(gaussian_fixed_scale(0),
+                                              pooled_groups(6), blocks))
+        with pytest.raises(GroupingViolation, match=f"{slot} uses 2 time blocks"):
+            classic_components(fit1, fit2)
+
     def test_sign_favors_model_one_under_heterogeneity(self, rng):
         # strong within-group heterogeneity: the individual model fits better
         n, T = 40, 40

@@ -1,6 +1,8 @@
 """Command-line behavior: ingestion, reports, exit codes, determinism."""
 
 import argparse
+import csv
+import io
 import json
 import random
 import re
@@ -10,7 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import load_csv_rows
-from panelvuong import DgpConfig, generate, make_panel, run_twfe_test
+from panelvuong import (DgpConfig, ModelSpec, generate, gaussian_fixed_scale,
+                        individual_groups, make_panel, run_classic_test,
+                        run_twfe_test, to_document)
 from panelvuong.cli import CsvSchema, build_parser, load_csv, main
 from panelvuong.errors import GroupDrift, PanelVuongError, ParseError, Unbalanced
 from panelvuong.panel import GroupMap
@@ -252,16 +256,6 @@ class TestCmdTest:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_exact_floats_mode(self, tmp_path, panel_csv, capsys):
-        path, _, _ = panel_csv
-        code = main(["test", "twfe", "--input", str(path), "--x-cols", "x1",
-                     "--group-col", "region", "--exact-floats"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        value = doc["test"]["mqlr"]
-        assert isinstance(value, str)
-        assert float(value) == pytest.approx(float(value))   # parses back
-
     def test_csv_format(self, tmp_path, panel_csv, capsys):
         path, _, _ = panel_csv
         code = main(["test", "twfe", "--input", str(path), "--x-cols", "x1",
@@ -270,6 +264,64 @@ class TestCmdTest:
         out = capsys.readouterr().out
         assert out.startswith("key,value")
         assert "test.mqlr," in out
+
+    @pytest.mark.parametrize("test, unit_0", [
+        ("classic", "u0"), ("twfe", "a,1"), ("twfe", 'a"1'), ("twfe", "a\n1"),
+        ("twfe", "a\r1")])
+    def test_csv_rows_are_key_value_pairs(self, tmp_path, rng, capsys, test, unit_0):
+        # the same-family classic report warns with a comma in NESTED_NOTE;
+        # a label may hold a comma, a quote or a line break
+        y = rng.normal(size=(4, 3))
+        path = tmp_path / "panel.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            # quote every field: Python 3.11's csv.writer leaves a bare CR unquoted
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow(["unit", "time", "y", "region"])
+            for i in range(4):
+                for t in range(3):
+                    writer.writerow([unit_0 if i == 0 else f"u{i}", t, repr(float(y[i, t])),
+                                     GROUPS[i]])
+        flag = "--group-col" if test == "twfe" else "--model2-group-col"
+        argv = ["test", test, "--input", str(path), flag, "region"]
+        docs = {}
+        for fmt in ("json", "csv"):
+            assert main([*argv, "--format", fmt]) == 0
+            docs[fmt] = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(docs["csv"], newline="")))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        leaves = dict(_leaves("", json.loads(docs["json"])))
+        assert [key for key, _ in rows[1:]] == list(leaves)
+        assert all(text == _csv_text(leaves[key]) for key, text in rows[1:])
+        assert f"metadata.label_maps.units.{unit_0}" in leaves
+
+    @pytest.mark.parametrize("test", ["twfe", "classic"])
+    def test_reals_round_trip(self, tmp_path, rng, capsys, test):
+        # every real of the default JSON and CSV reports parses back to the
+        # library's double bit for bit
+        y = rng.normal(size=(6, 5)) * 1e3
+        x = rng.normal(size=(6, 5, 1)) * 1e-3
+        path = tmp_path / "panel.csv"
+        groups = ["g1", "g1", "g1", "g2", "g2", "g2"]
+        write_panel_csv(path, y, x, groups)
+        flag = "--group-col" if test == "twfe" else "--model2-group-col"
+        argv = ["test", test, "--input", str(path), "--x-cols", "x1", flag, "region"]
+        assert main([*argv, "--format", "json"]) == 0
+        from_json = dict(_leaves("", json.loads(capsys.readouterr().out)))
+        assert main([*argv, "--format", "csv"]) == 0
+        from_csv = dict(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+
+        panel = make_panel(y, x)
+        gmap = GroupMap(codes=[0, 0, 0, 1, 1, 1], G=2)
+        fixed = gaussian_fixed_scale(1)
+        report = (run_twfe_test(panel, gmap) if test == "twfe" else run_classic_test(
+            panel, ModelSpec(fixed, individual_groups(6)), ModelSpec(fixed, gmap)))
+        reals = {key: value for key, value in _leaves("", to_document(report))
+                 if isinstance(value, float)}
+        assert len(reals) >= 10
+        for key, value in reals.items():
+            assert from_json[key].hex() == value.hex(), key
+            assert float(from_csv[key]).hex() == value.hex(), key
 
     def test_byte_order_mark_end_to_end(self, panel_csv, capsys):
         path, _, _ = panel_csv
@@ -307,13 +359,31 @@ class TestCmdTest:
                 lines.append(f"i{i},{t},{float(y[i, t])!r},{GROUPS[i]}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["test", "twfe", "--input", str(path), "--unit-col", "id",
-                     "--time-col", "yr", "--y-col", "outcome", "--group-col", "grp",
-                     "--exact-floats"])
+                     "--time-col", "yr", "--y-col", "outcome", "--group-col", "grp"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["metadata"]["label_maps"]["units"]) == ["i0", "i1", "i2", "i3"]
         expected = run_twfe_test(make_panel(y), GroupMap(codes=[0, 0, 1, 1], G=2))
-        assert float(doc["test"]["mqlr"]) == expected.mqlr
+        assert doc["test"]["mqlr"] == expected.mqlr
+
+
+def _leaves(prefix, value):
+    """(dotted key, scalar) pairs of a report document, in document order."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(f"{prefix}.{k}" if prefix else k, v)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(f"{prefix}[{i}]", v)
+    else:
+        yield prefix, value
+
+
+def _csv_text(value):
+    """A JSON leaf as a CSV report writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 class TestCmdSimulate:
@@ -361,11 +431,13 @@ class TestCmdSimulate:
         ["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2", "--reps", "2",
          "--out-dir", "x", "--jobs", "2"],
         ["test", "twfe", "--input", "p.csv", "--group-col", "region",
-         "--schema", '{"unit_col": "id"}']])
+         "--schema", '{"unit_col": "id"}'],
+        ["test", "twfe", "--input", "p.csv", "--group-col", "region", "--exact-floats"]])
     def test_removed_flags_refused(self, argv):
         # the effect scales cannot move a statistic, model 1 always has one
-        # group per unit, replications run in one serial loop, and columns
-        # are named only by the column flags, so these flags are gone
+        # group per unit, replications run in one serial loop, columns are
+        # named only by the column flags, and every real is already written
+        # as its shortest round-trip decimal, so these flags are gone
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
