@@ -79,13 +79,13 @@ def load_csv(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMap], d
     """
     raw = Path(path).read_bytes()
     try:   # decoding the whole file gives a bad byte's offset within it
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"byte 0x{raw[exc.start]:02x} at offset {exc.start} "
                          f"(line {line}) is not UTF-8")
-    # utf-8-sig drops a leading byte-order mark, as Excel writes in "CSV UTF-8"
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    # drop a leading byte-order mark, as Excel writes in "CSV UTF-8"
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:   # csv.Error: e.g. a field longer than csv.field_size_limit()
         header = next(reader, None)
         if header is None:
@@ -213,7 +213,7 @@ def cmd_simulate(args) -> int:
     sys.stdout.write(
         f"wrote {out_dir / 'size_power.csv'} and {out_dir / 'replications.jsonl'} "
         f"({mc.reps} replications, {summary.degenerate_count} degenerate, "
-        f"{summary.failure_count} failed)\n")
+        f"{mc.failure_count} failed)\n")
     return 0
 
 

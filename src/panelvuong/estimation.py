@@ -356,10 +356,9 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
                 raise SingularInformation(
                     f"parameters diverging (|theta| = {np.max(np.abs(theta)):.3e}); "
                     f"likelihood appears degenerate")
-        else:
-            raise NoConvergence(f"outer iteration limit {MAX_ITER} reached")
-        if np.max(np.abs(score)) > score_tol:
-            raise NoConvergence(f"theta score norm {np.max(np.abs(score)):.3e} above {TOL}")
+        else:   # the step taken on the last iteration may have converged
+            if np.max(np.abs(score)) > score_tol:
+                raise NoConvergence(f"outer iteration limit {MAX_ITER} reached")
 
     gfield = gamma[cells.ids]
     loglik_obs = family.psi(panel.y, panel.x, theta, gfield)

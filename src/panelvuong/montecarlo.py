@@ -13,17 +13,21 @@ Five DGP kinds cover the nulls and alternatives the two tests are built for:
 * ``E``  the kind-B interaction with scale c*sigma*(nT)^(-1/4), holding the
   standardized drift roughly constant across panel sizes.
 
+kappa is read by kinds B and D, c by kind E; a positive value on any other
+kind is refused, as that kind would silently run its null.
+
 Group and time effects are standard normal and have no scale setting: both
 models of each test absorb them, so their scale cannot enter the statistic.
 
 Every replication is a pure function of (master seed, replication index):
-each variate family draws from its own counter-based stream.
+each variate family draws from its own counter-based stream.  A
+:class:`RepRecord` keeps only what its test measured; the rest is derived.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -76,6 +80,11 @@ class DgpConfig:
             raise ConfigError(f"kappa must be nonnegative, got {self.kappa}")
         if self.c < 0:
             raise ConfigError(f"c must be nonnegative, got {self.c}")
+        if self.kappa > 0 and self.kind not in ("B", "D"):
+            raise ConfigError(f"kind {self.kind} ignores kappa (read by kinds B and D), "
+                              f"got kappa={self.kappa}")
+        if self.c > 0 and self.kind != "E":
+            raise ConfigError(f"kind {self.kind} ignores c (read by kind E), got c={self.c}")
         if self.K < 0:
             raise ConfigError(f"K must be nonnegative, got {self.K}")
         if not np.isfinite(self.signal):
@@ -104,8 +113,8 @@ def block_groups(n: int, G: int) -> GroupMap:
     return GroupMap(codes=np.repeat(np.arange(G), sizes), G=G)
 
 
-def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap, dict]:
-    """One replication's panel, its group map, and the truth record."""
+def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap]:
+    """One replication's panel and its group map."""
     n, T, K = config.n, config.T, config.K
     gmap = block_groups(n, config.G)
     beta = np.ones(K)
@@ -116,8 +125,6 @@ def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap, di
     a = normals(stream(config.master_seed, rep_index, "group_effects"), config.G)
 
     signal = config.signal
-    truth: dict[str, Any] = {"kind": config.kind, "beta": beta.tolist(),
-                             "kappa_effective": signal}
     y = (x @ beta if K else 0.0) + eps
 
     if config.kind in ("A", "B", "E"):
@@ -134,7 +141,7 @@ def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap, di
             alpha = alpha + signal * u
         y = y + alpha[:, None]
 
-    return make_panel(y, x if K else None), gmap, truth
+    return make_panel(y, x if K else None), gmap
 
 
 @dataclass
@@ -142,14 +149,22 @@ class RepRecord:
     rep: int
     mqlr: float = np.nan
     omega2: float = np.nan
-    statistic: float | None = None
     qlr: float = np.nan
-    raw_statistic: float | None = None
-    degenerate: bool = False
-    reject_two: dict = field(default_factory=dict)   # level -> bool
-    reject_one: dict = field(default_factory=dict)
-    failed: bool = False
-    error: str | None = None
+    statistic: float | None = None  # the report's; None when degenerate or failed
+    error: str | None = None        # "ErrorClass: message" when the replication failed
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
+    @property
+    def degenerate(self) -> bool:
+        return self.statistic is None and not self.failed
+
+    @property
+    def raw_statistic(self) -> float | None:
+        """qlr standardized without the bias correction."""
+        return None if self.statistic is None else self.qlr / self.omega2 ** 0.5
 
 
 @dataclass
@@ -191,8 +206,8 @@ class McResult:
 
     def rejection_rate(self, level: float, side: str) -> tuple[float, float, int]:
         """(rate, binomial SE, effective count) excluding degenerate reps."""
-        flags = [(r.reject_two if side == "two" else r.reject_one)[level]
-                 for r in self.valid_records()]
+        pick = 0 if side == "two" else 1
+        flags = [rejects(r.statistic, level)[pick] for r in self.valid_records()]
         count = len(flags)
         if count == 0:
             raise Empty("no valid replications to aggregate")
@@ -200,31 +215,19 @@ class McResult:
         return rate, binomial_se(rate, count), count
 
 
-def _run_one(config: DgpConfig, levels: tuple[float, ...], rep_index: int) -> RepRecord:
-    rec = RepRecord(rep=rep_index)
+def _run_one(config: DgpConfig, rep_index: int) -> RepRecord:
     try:
-        panel, gmap, _ = generate(config, rep_index)
+        panel, gmap = generate(config, rep_index)
         if config.test == "classic":
             spec_1 = ModelSpec(gaussian_fixed_scale(config.K), individual_groups(config.n))
             spec_2 = ModelSpec(gaussian_fixed_scale(config.K), gmap)
-            report: TestReport = run_classic_test(panel, spec_1, spec_2, level=levels[0])
+            report: TestReport = run_classic_test(panel, spec_1, spec_2)
         else:
-            report = run_twfe_test(panel, gmap, level=levels[0])
-
-        comp = report.components
-        rec.mqlr = report.mqlr
-        rec.omega2 = report.omega2_hat
-        rec.qlr = comp.qlr
-        rec.degenerate = report.degenerate
-        if not report.degenerate:
-            rec.statistic = report.statistic
-            rec.raw_statistic = comp.qlr / report.omega2_hat ** 0.5
-            for level in levels:
-                rec.reject_two[level], rec.reject_one[level] = rejects(rec.statistic, level)
+            report = run_twfe_test(panel, gmap)
     except PanelVuongError as exc:
-        rec.failed = True
-        rec.error = f"{type(exc).__name__}: {exc}"
-    return rec
+        return RepRecord(rep=rep_index, error=f"{type(exc).__name__}: {exc}")
+    return RepRecord(rep=rep_index, mqlr=report.mqlr, omega2=report.omega2_hat,
+                     qlr=report.components.qlr, statistic=report.statistic)
 
 
 def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResult:
@@ -242,7 +245,7 @@ def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResu
     if len(set(levels)) < len(levels):
         raise ConfigError(f"levels must be distinct, got {levels}")
 
-    records = [_run_one(config, levels, r) for r in range(reps)]
+    records = [_run_one(config, r) for r in range(reps)]
 
     failures = sum(r.failed for r in records)
     if failures > 0.01 * reps:
@@ -254,64 +257,51 @@ def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResu
 
 @dataclass
 class SizePowerRow:
-    kind: str
-    n: int
-    T: int
-    G: int
-    kappa: float
-    c: float
     level: float
     side: str
     rate: float
     se: float
     reps: int
-    degenerate_count: int
 
 
 @dataclass
 class Summary:
+    config: DgpConfig
     rows: list[SizePowerRow]
     mean_statistic: float
     sd_statistic: float
     mean_raw_statistic: float
     ks_normal: float
     degenerate_count: int
-    failure_count: int
 
 
 def summarize(mc: McResult) -> Summary:
     """Size/power rows per (level, side) plus normality diagnostics."""
     if mc.reps == 0 or not mc.valid_records():
         raise Empty("cannot summarize an empty result")
-    cfg = mc.config
-    rows = []
-    for level in mc.levels:
-        for side in ("two", "one"):
-            rate, se, count = mc.rejection_rate(level, side)
-            rows.append(SizePowerRow(
-                kind=cfg.kind, n=cfg.n, T=cfg.T, G=cfg.G, kappa=cfg.kappa, c=cfg.c,
-                level=level, side=side, rate=rate, se=se, reps=count,
-                degenerate_count=mc.degenerate_count))
+    rows = [SizePowerRow(level, side, *mc.rejection_rate(level, side))
+            for level in mc.levels for side in ("two", "one")]
     stats = mc.statistics()
     raw = mc.raw_statistics()
     return Summary(
+        config=mc.config,
         rows=rows,
         mean_statistic=float(stats.mean()),
         sd_statistic=float(stats.std(ddof=1)) if stats.size > 1 else 0.0,
         mean_raw_statistic=float(raw.mean()),
         ks_normal=ks_distance(stats),
         degenerate_count=mc.degenerate_count,
-        failure_count=mc.failure_count,
     )
 
 
 def size_power_csv(summary: Summary) -> str:
+    cfg = summary.config
     lines = ["kind,n,T,G,kappa,c,level,side,rate,se,reps,degenerate_count,"
              "generator_version"]
     for r in summary.rows:
         lines.append(
-            f"{r.kind},{r.n},{r.T},{r.G},{r.kappa!r},{r.c!r},{r.level!r},"
-            f"{r.side},{r.rate!r},{r.se!r},{r.reps},{r.degenerate_count},"
+            f"{cfg.kind},{cfg.n},{cfg.T},{cfg.G},{cfg.kappa!r},{cfg.c!r},{r.level!r},"
+            f"{r.side},{r.rate!r},{r.se!r},{r.reps},{summary.degenerate_count},"
             f"{GENERATOR_VERSION}")
     return "\n".join(lines) + "\n"
 
@@ -323,6 +313,8 @@ def replications_jsonl(mc: McResult) -> str:
         if r.failed:
             obj: dict[str, Any] = {"rep": r.rep, "failed": True, "error": r.error}
         else:
+            decided = {} if r.degenerate else {   # a degenerate rep decides nothing
+                repr(level): rejects(r.statistic, level) for level in mc.levels}
             obj = {
                 "rep": r.rep,
                 "mqlr": r.mqlr,
@@ -331,8 +323,8 @@ def replications_jsonl(mc: McResult) -> str:
                 "qlr": r.qlr,
                 "raw_statistic": r.raw_statistic,
                 "degenerate": r.degenerate,
-                "reject_two": {repr(k): v for k, v in r.reject_two.items()},
-                "reject_one": {repr(k): v for k, v in r.reject_one.items()},
+                "reject_two": {k: two for k, (two, _) in decided.items()},
+                "reject_one": {k: one for k, (_, one) in decided.items()},
             }
         lines.append(json.dumps(obj, sort_keys=False, allow_nan=False))
     return "\n".join(lines) + "\n"

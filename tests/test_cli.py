@@ -217,7 +217,7 @@ class TestLoadCsvOracle:
 class TestCmdTest:
     def test_twfe_end_to_end(self, tmp_path, capsys):
         cfg = DgpConfig(kind="A", n=12, T=10, G=3, K=1, master_seed=11)
-        panel, gmap, _ = generate(cfg, 0)
+        panel, gmap = generate(cfg, 0)
         path = tmp_path / "panel.csv"
         groups = [f"g{c}" for c in gmap.codes]
         write_panel_csv(path, panel.y, panel.x, groups)
@@ -452,6 +452,13 @@ class TestCmdSimulate:
                      "--reps", "2", "--c", "-1", "--out-dir", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: c must be nonnegative")
+
+    def test_kappa_on_null_kind_exit_1(self, tmp_path, capsys):
+        # kind A reads no kappa, so the campaign would have run the null
+        code = main(["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2",
+                     "--reps", "2", "--kappa", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: kind A ignores kappa")
 
     def test_non_finite_kappa_exit_1(self, tmp_path, capsys):
         # nan > 0 is false, so a NaN signal used to run as the null

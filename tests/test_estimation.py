@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dummy_ols_cells, dummy_ols_twfe, random_groups, random_panel
+from panelvuong import estimation
 from panelvuong import (LikelihoodFamily, ModelSpec, TimeGroupMap, block_groups,
                         fit_grouped_time, fit_linear_cells, fit_profile_mle,
                         fit_twfe, foc_residuals, gaussian_fixed_scale,
@@ -217,6 +218,16 @@ class TestFitProfileMle:
                                                random_groups(rng, 6, 2)))
         assert np.all(fit.info_gamma < 0)
         assert np.allclose(fit.info_gamma, -1.0)
+
+    def test_step_on_last_iteration_counts(self, rng, monkeypatch):
+        # the unit-scale objective is quadratic in theta, so one Newton step
+        # converges; a budget of one outer iteration must accept that step
+        panel = random_panel(rng, 20, 8, 1)
+        gmap = block_groups(20, 4)
+        monkeypatch.setattr(estimation, "MAX_ITER", 1)
+        fit = fit_profile_mle(panel, ModelSpec(gaussian_fixed_scale(1), gmap))
+        assert rel_gap(fit.theta, fit_linear_cells(panel, gmap).theta) < 1e-8
+        assert fit.iterations == 1
 
     def test_profiled_effect_is_cell_mean_residual(self, rng):
         # the unit-scale family maximizes at the mean residual of each cell

@@ -1,13 +1,17 @@
 """DGP determinism and the replication engine."""
 
+import json
+
 import numpy as np
 import pytest
 
-from panelvuong import (DgpConfig, generate, local_power_curve, run_replications,
-                        summarize)
+from panelvuong import (DgpConfig, ModelSpec, gaussian_fixed_scale, generate,
+                        individual_groups, local_power_curve, run_classic_test,
+                        run_replications, run_twfe_test, summarize)
 from panelvuong.errors import ConfigError, Empty
 from panelvuong.montecarlo import (McResult, RepRecord, block_groups,
                                    replications_jsonl, size_power_csv)
+from panelvuong.report import rejects
 
 
 def cfg(**kw):
@@ -29,7 +33,10 @@ class TestConfig:
                                      dict(kind="E", c=np.nan),
                                      dict(noise=np.inf), dict(noise=np.nan),
                                      dict(kind="D", kappa=np.inf),
-                                     dict(kind="B", kappa=1e200, noise=1e200)])
+                                     dict(kind="B", kappa=1e200, noise=1e200),
+                                     # a signal the kind ignores would run the null
+                                     dict(kind="A", kappa=0.5), dict(kind="C", c=2.0),
+                                     dict(kind="E", kappa=0.5), dict(kind="D", c=1.0)])
     def test_invalid_dimensions(self, bad):
         with pytest.raises(ConfigError):
             cfg(**bad)
@@ -70,34 +77,32 @@ class TestBlockGroups:
 
 class TestGenerate:
     def test_deterministic(self):
-        p1, g1, t1 = generate(cfg(), 4)
-        p2, g2, t2 = generate(cfg(), 4)
+        p1, g1 = generate(cfg(), 4)
+        p2, g2 = generate(cfg(), 4)
         assert np.array_equal(p1.y, p2.y)
         assert np.array_equal(p1.x, p2.x)
         assert np.array_equal(g1.codes, g2.codes)
-        assert t1 == t2
 
     def test_reps_differ(self):
-        p1, _, _ = generate(cfg(), 0)
-        p2, _, _ = generate(cfg(), 1)
+        p1, _ = generate(cfg(), 0)
+        p2, _ = generate(cfg(), 1)
         assert not np.array_equal(p1.y, p2.y)
 
     def test_kind_d_at_zero_kappa_equals_kind_c(self):
-        pc, _, _ = generate(cfg(kind="C"), 3)
-        pd, _, _ = generate(cfg(kind="D", kappa=0.0), 3)
+        pc, _ = generate(cfg(kind="C"), 3)
+        pd, _ = generate(cfg(kind="D", kappa=0.0), 3)
         assert np.array_equal(pc.y, pd.y)
 
     def test_kind_e_at_zero_c_equals_kind_a(self):
-        pa, _, _ = generate(cfg(kind="A"), 3)
-        pe, _, _ = generate(cfg(kind="E", c=0.0), 3)
+        pa, _ = generate(cfg(kind="A"), 3)
+        pe, _ = generate(cfg(kind="E", c=0.0), 3)
         assert np.array_equal(pa.y, pe.y)
 
     def test_signal_recorded(self):
-        _, _, truth = generate(cfg(kind="B", kappa=0.5, noise=2.0), 0)
-        assert truth["kappa_effective"] == pytest.approx(1.0)
+        assert cfg(kind="B", kappa=0.5, noise=2.0).signal == pytest.approx(1.0)
 
     def test_shapes(self):
-        panel, gmap, _ = generate(cfg(n=9, T=7, G=4, K=2), 0)
+        panel, gmap = generate(cfg(n=9, T=7, G=4, K=2), 0)
         assert (panel.n, panel.T, panel.K) == (9, 7, 2)
         assert gmap.G == 4
 
@@ -128,9 +133,8 @@ class TestRunReplications:
 
 class TestSummarize:
     def test_all_reject_synthetic(self):
-        records = [RepRecord(rep=i, mqlr=5.0, omega2=1.0, statistic=5.0, qlr=5.0,
-                             raw_statistic=5.0, reject_two={0.05: True},
-                             reject_one={0.05: True}) for i in range(10)]
+        records = [RepRecord(rep=i, mqlr=5.0, omega2=1.0, qlr=5.0, statistic=5.0)
+                   for i in range(10)]
         mc = McResult(config=cfg(), levels=(0.05,), records=records)
         summary = summarize(mc)
         two = [r for r in summary.rows if r.side == "two"][0]
@@ -138,10 +142,8 @@ class TestSummarize:
         assert two.se == 0.0
 
     def test_degenerate_excluded_from_denominator(self):
-        records = [RepRecord(rep=0, mqlr=5.0, omega2=1.0, statistic=5.0, qlr=5.0,
-                             raw_statistic=5.0, reject_two={0.05: True},
-                             reject_one={0.05: True}),
-                   RepRecord(rep=1, mqlr=0.0, omega2=0.0, degenerate=True)]
+        records = [RepRecord(rep=0, mqlr=5.0, omega2=1.0, qlr=5.0, statistic=5.0),
+                   RepRecord(rep=1, mqlr=0.0, omega2=0.0, qlr=0.0)]
         mc = McResult(config=cfg(), levels=(0.05,), records=records)
         summary = summarize(mc)
         assert summary.rows[0].reps == 1
@@ -187,11 +189,56 @@ class TestWriters:
         assert len(lines) == 1 + 4   # two levels x two sides
 
     def test_jsonl_roundtrip(self):
-        import json
-
         mc = run_replications(cfg(), reps=3)
         lines = replications_jsonl(mc).strip().split("\n")
         assert len(lines) == 3
         first = json.loads(lines[0])
         assert first["rep"] == 0
         assert "mqlr" in first and "reject_two" in first
+
+
+SIGNAL_FOR_KIND = {"A": {}, "B": dict(kappa=0.5), "C": {}, "D": dict(kappa=0.5),
+                   "E": dict(c=2.0)}
+
+
+class TestRecordDerivation:
+    """A record keeps what its test measured; everything else derives from it."""
+
+    @pytest.mark.parametrize("kind", sorted(SIGNAL_FOR_KIND))
+    def test_statistic_and_flags_match_the_test(self, kind):
+        config = cfg(kind=kind, **SIGNAL_FOR_KIND[kind])
+        levels = (0.05, 0.1)
+        mc = run_replications(config, levels=levels, reps=4)
+        lines = replications_jsonl(mc).splitlines()
+        for r, (rec, line) in enumerate(zip(mc.records, lines, strict=True)):
+            panel, gmap = generate(config, r)
+            if config.test == "classic":
+                report = run_classic_test(
+                    panel, ModelSpec(gaussian_fixed_scale(config.K), individual_groups(config.n)),
+                    ModelSpec(gaussian_fixed_scale(config.K), gmap))
+            else:
+                report = run_twfe_test(panel, gmap)
+            assert rec.statistic == report.statistic   # same bits
+            obj = json.loads(line)
+            assert obj["statistic"] == report.statistic
+            for level in levels:
+                two, one = rejects(report.statistic, level)
+                assert obj["reject_two"][repr(level)] is two
+                assert obj["reject_one"][repr(level)] is one
+
+    def test_jsonl_lines_pinned(self):
+        records = [RepRecord(rep=0, mqlr=3.4, omega2=4.0, qlr=2.0, statistic=1.7),
+                   RepRecord(rep=1, mqlr=0.5, omega2=0.0, qlr=0.25),
+                   RepRecord(rep=2, error="NoConvergence: outer iteration limit 100 reached")]
+        assert [(r.degenerate, r.failed) for r in records] == \
+            [(False, False), (True, False), (False, True)]
+        mc = McResult(config=cfg(), levels=(0.05, 0.1), records=records)
+        assert replications_jsonl(mc).splitlines() == [
+            '{"rep": 0, "mqlr": 3.4, "omega2": 4.0, "statistic": 1.7, "qlr": 2.0, '
+            '"raw_statistic": 1.0, "degenerate": false, '
+            '"reject_two": {"0.05": false, "0.1": true}, '
+            '"reject_one": {"0.05": true, "0.1": true}}',
+            '{"rep": 1, "mqlr": 0.5, "omega2": 0.0, "statistic": null, "qlr": 0.25, '
+            '"raw_statistic": null, "degenerate": true, "reject_two": {}, "reject_one": {}}',
+            '{"rep": 2, "failed": true, "error": "NoConvergence: outer iteration limit 100 '
+            'reached"}']
