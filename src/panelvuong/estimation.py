@@ -396,16 +396,3 @@ def fit_model(panel: PanelData, spec: ModelSpec) -> FitResult:
     if spec.family.name == "gaussian-fixed-scale":
         return fit_linear_cells(panel, spec.gmap, spec.time_map(panel.T))
     return fit_profile_mle(panel, spec)
-
-
-def foc_residuals(panel: PanelData, fit: FitResult) -> tuple[float, float]:
-    """(theta score inf-norm, max absolute cell score) at the fitted optimum."""
-    spec = fit.spec
-    cells = _Cells(panel, spec.gmap, spec.time_map(panel.T))
-    gfield = fit.gamma.ravel()[cells.ids]
-    max_theta = 0.0
-    if spec.family.d_theta:
-        st = spec.family.psi_theta(panel.y, panel.x, fit.theta, gfield)
-        max_theta = float(np.max(np.abs(st.reshape(-1, spec.family.d_theta).sum(axis=0))))
-    sg = spec.family.psi_gamma(panel.y, panel.x, fit.theta, gfield)
-    return max_theta, float(np.max(np.abs(cells.sum(sg))))

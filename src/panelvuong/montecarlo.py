@@ -39,7 +39,7 @@ from .families import gaussian_fixed_scale
 from .panel import GroupMap, PanelData, individual_groups, make_panel
 from .rng import GENERATOR_VERSION, normals, stream
 from .report import TestReport, rejects
-from .stats import binomial_se, critical_values, ks_distance, normal_cdf
+from .stats import binomial_se, ks_distance
 from .twfe import run_twfe_test
 
 KINDS = ("A", "B", "C", "D", "E")
@@ -174,27 +174,11 @@ class McResult:
     records: list[RepRecord]
 
     @property
-    def test(self) -> str:
-        return self.config.test
-
-    @property
     def reps(self) -> int:
         return len(self.records)
 
     def valid_records(self) -> list[RepRecord]:
         return [r for r in self.records if not r.failed and not r.degenerate]
-
-    def statistics(self) -> np.ndarray:
-        return np.array([r.statistic for r in self.valid_records()])
-
-    def raw_statistics(self) -> np.ndarray:
-        return np.array([r.raw_statistic for r in self.valid_records()])
-
-    def mqlr_values(self) -> np.ndarray:
-        return np.array([r.mqlr for r in self.valid_records()])
-
-    def omega2_values(self) -> np.ndarray:
-        return np.array([r.omega2 for r in self.valid_records()])
 
     @property
     def degenerate_count(self) -> int:
@@ -206,13 +190,18 @@ class McResult:
 
     def rejection_rate(self, level: float, side: str) -> tuple[float, float, int]:
         """(rate, binomial SE, effective count) excluding degenerate reps."""
-        pick = 0 if side == "two" else 1
-        flags = [rejects(r.statistic, level)[pick] for r in self.valid_records()]
-        count = len(flags)
-        if count == 0:
-            raise Empty("no valid replications to aggregate")
-        rate = float(np.mean(flags))
-        return rate, binomial_se(rate, count), count
+        return _rejection_rate(self.valid_records(), level, side)
+
+
+def _rejection_rate(valid: list[RepRecord], level: float,
+                    side: str) -> tuple[float, float, int]:
+    pick = 0 if side == "two" else 1
+    flags = [rejects(r.statistic, level)[pick] for r in valid]
+    count = len(flags)
+    if count == 0:
+        raise Empty("no valid replications to aggregate")
+    rate = float(np.mean(flags))
+    return rate, binomial_se(rate, count), count
 
 
 def _run_one(config: DgpConfig, rep_index: int) -> RepRecord:
@@ -277,12 +266,13 @@ class Summary:
 
 def summarize(mc: McResult) -> Summary:
     """Size/power rows per (level, side) plus normality diagnostics."""
-    if mc.reps == 0 or not mc.valid_records():
+    valid = mc.valid_records()      # one filter pass serves every row and moment
+    if not valid:
         raise Empty("cannot summarize an empty result")
-    rows = [SizePowerRow(level, side, *mc.rejection_rate(level, side))
+    rows = [SizePowerRow(level, side, *_rejection_rate(valid, level, side))
             for level in mc.levels for side in ("two", "one")]
-    stats = mc.statistics()
-    raw = mc.raw_statistics()
+    stats = np.array([r.statistic for r in valid])
+    raw = np.array([r.raw_statistic for r in valid])
     return Summary(
         config=mc.config,
         rows=rows,
@@ -328,8 +318,3 @@ def replications_jsonl(mc: McResult) -> str:
             }
         lines.append(json.dumps(obj, sort_keys=False, allow_nan=False))
     return "\n".join(lines) + "\n"
-
-
-def local_power_curve(c: float, level: float = 0.05) -> float:
-    """Limiting one-sided rejection rate at standardized drift c."""
-    return float(1.0 - normal_cdf(critical_values(level)[1] - c))

@@ -43,7 +43,20 @@ class PanelData:
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen(self.y))
         object.__setattr__(self, "x", _frozen(self.x))
-        validate_panel(self)
+        y, x = self.y, self.x
+        if y.ndim != 2:
+            raise TooSmall(f"y must be a 2-d (n, T) array, got shape {y.shape}")
+        n, T = y.shape
+        if x.ndim != 3 or x.shape[:2] != (n, T):
+            raise TooSmall(f"x must have shape (n, T, K) = ({n}, {T}, K), got {x.shape}")
+        if n < 2 or T < 2:
+            raise TooSmall(f"panel needs n >= 2 and T >= 2, got n={n}, T={T}")
+        if not np.all(np.isfinite(y)):
+            i, t = np.argwhere(~np.isfinite(y))[0]
+            raise NonFinite(f"y[{i + 1}][{t + 1}] is not finite")
+        if x.size and not np.all(np.isfinite(x)):
+            i, t, k = np.argwhere(~np.isfinite(x))[0]
+            raise NonFinite(f"x[{i + 1}][{t + 1}][{k + 1}] is not finite")
 
     @property
     def n(self) -> int:
@@ -70,25 +83,6 @@ def make_panel(y, x=None) -> PanelData:
     """
     y = np.asarray(y, dtype=float)
     return PanelData(y=y, x=np.zeros(y.shape + (0,)) if x is None else x)
-
-
-def validate_panel(panel: PanelData) -> PanelData:
-    """Check all panel invariants and return the panel unchanged."""
-    y, x = panel.y, panel.x
-    if y.ndim != 2:
-        raise TooSmall(f"y must be a 2-d (n, T) array, got shape {y.shape}")
-    n, T = y.shape
-    if x.ndim != 3 or x.shape[:2] != (n, T):
-        raise TooSmall(f"x must have shape (n, T, K) = ({n}, {T}, K), got {x.shape}")
-    if n < 2 or T < 2:
-        raise TooSmall(f"panel needs n >= 2 and T >= 2, got n={n}, T={T}")
-    if not np.all(np.isfinite(y)):
-        i, t = np.argwhere(~np.isfinite(y))[0]
-        raise NonFinite(f"y[{i + 1}][{t + 1}] is not finite")
-    if x.size and not np.all(np.isfinite(x)):
-        i, t, k = np.argwhere(~np.isfinite(x))[0]
-        raise NonFinite(f"x[{i + 1}][{t + 1}][{k + 1}] is not finite")
-    return panel
 
 
 @dataclass(frozen=True)
@@ -121,18 +115,10 @@ class GroupMap:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.codes, minlength=self.G)
 
-    def members(self, g: int) -> np.ndarray:
-        return np.where(self.codes == g)[0]
-
 
 def individual_groups(n: int) -> GroupMap:
     """One group per unit (G = n)."""
     return GroupMap(codes=np.arange(n), G=n)
-
-
-def pooled_groups(n: int) -> GroupMap:
-    """A single group containing every unit."""
-    return GroupMap(codes=np.zeros(n, dtype=np.int64), G=1)
 
 
 def groups_from_labels(labels) -> tuple[GroupMap, dict]:
@@ -169,23 +155,7 @@ class TimeGroupMap:
     def T(self) -> int:
         return self.codes.size
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.codes, minlength=self.M)
-
-    def blocks(self) -> list:
-        return [np.where(self.codes == m)[0] for m in range(self.M)]
-
 
 def single_block(T: int) -> TimeGroupMap:
     """All periods in one block (M = 1)."""
     return TimeGroupMap(codes=np.zeros(T, dtype=np.int64), M=1)
-
-
-def blocks_from_sizes(sizes) -> TimeGroupMap:
-    """Build contiguous time blocks from their lengths."""
-    sizes = _int_array(sizes, "time block sizes").tolist()
-    if any(s < 1 for s in sizes):
-        raise EmptyGroup("every time block needs at least one period")
-    codes = np.repeat(np.arange(len(sizes)), sizes)
-    return TimeGroupMap(codes=codes, M=len(sizes))

@@ -30,6 +30,16 @@ def random_groups(rng: np.random.Generator, n: int, G: int) -> GroupMap:
             return GroupMap(codes=codes, G=G)
 
 
+def pooled_groups(n: int) -> GroupMap:
+    """A single group containing every unit."""
+    return GroupMap(codes=np.zeros(n, dtype=np.int64), G=1)
+
+
+def blocks_from_sizes(sizes) -> TimeGroupMap:
+    """Contiguous time blocks of the given lengths."""
+    return TimeGroupMap(codes=np.repeat(np.arange(len(sizes)), sizes), M=len(sizes))
+
+
 def dummy_ols_cells(panel: PanelData, gmap: GroupMap, mmap: TimeGroupMap):
     """Least squares of y on covariates plus one dummy per (g, m) cell."""
     n, T, K = panel.n, panel.T, panel.K

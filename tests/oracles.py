@@ -9,6 +9,10 @@ nonnegativity.  The tests compare the two.
 :func:`load_csv_rows` is the cell-by-cell CSV loader that
 :func:`panelvuong.cli.load_csv` replaced with column passes; the tests
 require the same arrays, label maps and errors from both.
+
+:func:`foc_residuals` recomputes a fit's first-order conditions from its
+family, and :func:`local_power_curve` is the limiting power that the
+local-alternative campaign is compared with.
 """
 
 import csv
@@ -23,6 +27,7 @@ from panelvuong.errors import (GroupDrift, GroupingViolation, ParseError,
 from panelvuong.estimation import FitResult
 from panelvuong.panel import (GroupMap, PanelData, groups_from_labels,
                               make_panel)
+from panelvuong.stats import critical_values, normal_cdf
 
 
 def _unit_info(fit: FitResult) -> np.ndarray:
@@ -297,3 +302,24 @@ def load_csv_rows(path, schema: CsvSchema) -> tuple[PanelData, dict[str, GroupMa
         label_maps[f"groups[{col}]"] = {lab: g + 1 for lab, g in order.items()}
 
     return make_panel(y, x if K else None), gmaps, label_maps
+
+
+def foc_residuals(panel: PanelData, fit: FitResult) -> tuple[float, float]:
+    """(theta score inf-norm, max absolute cell score) at the fitted optimum."""
+    spec = fit.spec
+    mmap = spec.time_map(panel.T)
+    ids = spec.gmap.codes[:, None] * mmap.M + mmap.codes[None, :]
+    gfield = fit.gamma.ravel()[ids]
+    max_theta = 0.0
+    if spec.family.d_theta:
+        st = spec.family.psi_theta(panel.y, panel.x, fit.theta, gfield)
+        max_theta = float(np.max(np.abs(st.reshape(-1, spec.family.d_theta).sum(axis=0))))
+    sg = spec.family.psi_gamma(panel.y, panel.x, fit.theta, gfield)
+    cell_sums = np.bincount(ids.ravel(), weights=sg.ravel(),
+                            minlength=spec.gmap.G * mmap.M)
+    return max_theta, float(np.max(np.abs(cell_sums)))
+
+
+def local_power_curve(c: float, level: float = 0.05) -> float:
+    """Limiting one-sided rejection rate at standardized drift c."""
+    return float(1.0 - normal_cdf(critical_values(level)[1] - c))

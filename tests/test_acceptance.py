@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dummy_ols_cells, dummy_ols_twfe, random_groups, random_panel
+from conftest import (blocks_from_sizes, dummy_ols_cells, dummy_ols_twfe, random_groups,
+                      random_panel)
+from oracles import foc_residuals, local_power_curve
 from panelvuong import (DgpConfig, ModelSpec, check_derivatives,
                         classic_components, fit_grouped_time, fit_linear_cells,
-                        fit_model, fit_profile_mle, fit_twfe, foc_residuals,
+                        fit_model, fit_profile_mle, fit_twfe,
                         gaussian_fixed_scale, gaussian_full_scale,
-                        individual_groups, local_power_curve, run_replications,
-                        run_twfe_test, summarize)
+                        individual_groups, run_replications, run_twfe_test,
+                        summarize)
 from panelvuong.cli import main
-from panelvuong.panel import blocks_from_sizes, single_block
 from test_families import sample_points
 
 SEED_NULL = 20240601
@@ -212,7 +213,7 @@ class TestCriterion08LocalPower:
                                master_seed=SEED_LOCAL)
             mc = run_replications(config, reps=R_LOCAL)
             rate, _, _ = mc.rejection_rate(0.05, "one")
-            c_hat = float(mc.statistics().mean())
+            c_hat = summarize(mc).mean_statistic
             gaps[c] = abs(rate - local_power_curve(c_hat, 0.05))
         report(f"criterion 8 (local power, c in (0,1,2), R={R_LOCAL} each): "
                f"|rate - (1 - Phi(z_0.95 - c_hat))| = "
@@ -277,8 +278,9 @@ class TestMonteCarloInvariants:
     def test_mqlr_variance_matches_mean_omega2(self, mc_twfe_null_100,
                                                mc_classic_null_100):
         for mc in (mc_twfe_null_100, mc_classic_null_100):
-            var = float(mc.mqlr_values().var(ddof=1))
-            mean_omega2 = float(mc.omega2_values().mean())
+            valid = mc.valid_records()
+            var = float(np.var([r.mqlr for r in valid], ddof=1))
+            mean_omega2 = float(np.mean([r.omega2 for r in valid]))
             assert abs(var - mean_omega2) / mean_omega2 <= 0.25
 
     def test_no_degenerate_replications_under_noise(self, mc_twfe_null_100,

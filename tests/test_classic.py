@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_groups, random_panel
+from conftest import blocks_from_sizes, pooled_groups, random_groups, random_panel
 from oracles import (bias_correction, mqlr_classic, s2_gamma_unit,
                      sigma2_cross_unit, sigma2_gamma_unit, variance_components,
                      variance_u_regrouped)
 from panelvuong import (ModelSpec, classic_components, fit_model,
                         gaussian_fixed_scale, gaussian_full_scale,
-                        individual_groups, make_panel, omega2_hybrid,
-                        pooled_groups, run_classic_test)
-from panelvuong.classic import MAX_RULE_NOTE, NESTED_NOTE, dof_factor
+                        individual_groups, make_panel, run_classic_test)
+from panelvuong.classic import MAX_RULE_NOTE, NESTED_NOTE, dof_factor, omega2_hybrid
 from panelvuong import normal_quantile
 from panelvuong.cli import main
 from panelvuong.errors import GroupingViolation, TooSmall
-from panelvuong.panel import GroupMap, blocks_from_sizes
+from panelvuong.panel import GroupMap
 from test_cli import write_panel_csv
 
 

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import local_power_curve
 from panelvuong import (DgpConfig, ModelSpec, gaussian_fixed_scale, generate,
-                        individual_groups, local_power_curve, run_classic_test,
-                        run_replications, run_twfe_test, summarize)
+                        individual_groups, run_classic_test, run_replications,
+                        run_twfe_test, summarize)
 from panelvuong.errors import ConfigError, Empty
 from panelvuong.montecarlo import (McResult, RepRecord, block_groups,
                                    replications_jsonl, size_power_csv)
@@ -127,7 +128,7 @@ class TestRunReplications:
 
     def test_classic_kind_runs(self):
         mc = run_replications(cfg(kind="C", n=15, T=10, G=3), reps=5)
-        assert mc.test == "classic"
+        assert mc.config.test == "classic"
         assert all(not r.failed for r in mc.records)
 
 

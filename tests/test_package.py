@@ -1,6 +1,8 @@
 """The package's public namespace."""
 
 import inspect
+import re
+from pathlib import Path
 
 import panelvuong
 
@@ -12,3 +14,9 @@ def test_all_lists_public_names_only():
     public = {n for n in dir(panelvuong)
               if not n.startswith("_") and not inspect.ismodule(getattr(panelvuong, n))}
     assert exported == public
+
+
+def test_every_exported_name_is_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [n for n in panelvuong.__all__ if not re.search(rf"\b{n}\b", readme)]
+    assert not missing

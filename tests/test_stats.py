@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats as sstats
 
-from panelvuong import normal_cdf, normal_quantile, ks_distance, binomial_se
+from panelvuong import normal_quantile
 from panelvuong.errors import NonFinite, OutOfRange
 from panelvuong.rng import normals, stream
-from panelvuong.stats import erfc
+from panelvuong.stats import binomial_se, erfc, ks_distance, normal_cdf
 
 
 class TestErfc:
