@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, RankDeficient, SingularInformation
 from .families import LikelihoodFamily, gaussian_fixed_scale
-from .panel import GroupMap, PanelData, TimeGroupMap, single_block
+from .panel import GroupMap, PanelData, TimeGroupMap, linear_index, single_block
 
 COND_LIMIT = 1e12
 EIG_FLOOR = 1e-12
 INFO_FLOOR = 1e-12
 # profile-Newton budgets of fit_profile_mle
 TOL = 1e-10          # infinity-norm bound on the theta score and every cell score
-MAX_ITER = 100       # outer Newton iterations
+MAX_ITER = 100       # Newton steps on theta
 INNER_TOL = 1e-12    # absolute bound on each cell's scalar first-order condition
 MAX_HALVINGS = 30    # step halvings per Newton update; also guards the family's domain
 
@@ -50,7 +50,7 @@ class FitResult:
     loglik_obs: np.ndarray     # (n, T) psi at the optimum
     score_gamma: np.ndarray    # (n, T) psi_gamma at the optimum
     info_gamma: np.ndarray     # (G, M) cell averages of psi_gammagamma
-    iterations: int
+    iterations: int            # Newton steps taken on theta
     spec: ModelSpec
 
 
@@ -102,7 +102,8 @@ class _Cells:
         self.count = gmap.G * mmap.M
         self.ids = gmap.codes[:, None] * mmap.M + mmap.codes[None, :]
         self._flat = self.ids.ravel()
-        self.size = np.bincount(self._flat, minlength=self.count).astype(float)
+        blocks = np.bincount(mmap.codes, minlength=self.M)
+        self.size = np.outer(gmap.sizes, blocks).ravel().astype(float)
 
     def sum(self, a: np.ndarray) -> np.ndarray:
         """Per-cell sums of an (n, T) array."""
@@ -138,7 +139,7 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
         gram = np.einsum("itk,itl->kl", xdot, xdot) / (n * T)
         rhs = np.einsum("itk,it->k", xdot, panel.y) / (n * T)
         theta = _solve_gram(gram, rhs)
-        work = panel.y - panel.x @ theta
+        work = panel.y - linear_index(panel.x, theta)
     else:
         theta = np.zeros(0)
         work = panel.y
@@ -173,8 +174,8 @@ def fit_grouped_time(panel: PanelData, gmap: GroupMap) -> GroupedTimeFit:
         gram = np.einsum("itk,itl->kl", xdot, xdot) / (n * T)
         rhs = np.einsum("itk,it->k", xdot, panel.y) / (n * T)
         theta = _solve_gram(gram, rhs)
-        gamma_gt = ybar_gt - xbar_gt @ theta
-        resid = panel.y - panel.x @ theta - gamma_gt[gmap.codes]
+        gamma_gt = ybar_gt - linear_index(xbar_gt, theta)
+        resid = panel.y - linear_index(panel.x, theta) - gamma_gt[gmap.codes]
     else:
         theta = np.zeros(0)
         gamma_gt = ybar_gt
@@ -200,7 +201,7 @@ def fit_twfe(panel: PanelData) -> TwfeFit:
         theta = _solve_gram(gram, rhs)
         alpha = ybar_i - xbar_i @ theta
         delta = (ybar_t - ybar) - (xbar_t - xbar) @ theta
-        resid = y - panel.x @ theta - alpha[:, None] - delta[None, :]
+        resid = y - linear_index(panel.x, theta) - alpha[:, None] - delta[None, :]
     else:
         theta = np.zeros(0)
         alpha = ybar_i
@@ -231,8 +232,8 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     SingularInformation
         If a cell's average curvature falls below ``1e-12`` in magnitude.
     NoConvergence
-        If the first-order conditions stay above ``1e-10`` after 100 outer
-        iterations, or no step improves within 30 halvings.
+        If the first-order conditions stay above ``1e-10`` after 100 Newton
+        steps on theta, or no step improves within 30 halvings.
     """
     family = spec.family
     gmap = spec.gmap
@@ -315,9 +316,10 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     theta_scale = float(np.max(np.abs(theta))) if theta.size else 0.0
 
     if family.d_theta:
-        for iterations in range(1, MAX_ITER + 1):
-            if np.max(np.abs(score)) <= score_tol:
-                break
+        while np.max(np.abs(score)) > score_tol:
+            if iterations == MAX_ITER:
+                raise NoConvergence(f"outer iteration limit {MAX_ITER} reached")
+            iterations += 1
             jac = np.empty((family.d_theta, family.d_theta))
             for k in range(family.d_theta):
                 h = 1e-6 * max(1.0, abs(theta[k]))
@@ -356,9 +358,6 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
                 raise SingularInformation(
                     f"parameters diverging (|theta| = {np.max(np.abs(theta)):.3e}); "
                     f"likelihood appears degenerate")
-        else:   # the step taken on the last iteration may have converged
-            if np.max(np.abs(score)) > score_tol:
-                raise NoConvergence(f"outer iteration limit {MAX_ITER} reached")
 
     gfield = gamma[cells.ids]
     loglik_obs = family.psi(panel.y, panel.x, theta, gfield)

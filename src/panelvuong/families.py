@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .panel import PanelData
+from .panel import PanelData, linear_index
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def gaussian_fixed_scale(n_covariates: int) -> LikelihoodFamily:
     K = int(n_covariates)
 
     def resid(y, x, theta, gamma):
-        return y - (x @ theta if K else 0.0) - gamma
+        return y - (linear_index(x, theta) if K else 0.0) - gamma
 
     def psi(y, x, theta, gamma):
         return -0.5 * resid(y, x, theta, gamma) ** 2
@@ -59,7 +59,7 @@ def gaussian_fixed_scale(n_covariates: int) -> LikelihoodFamily:
         return _pooled_ols(panel)
 
     def working_residual(y, x, theta):
-        return y - (x @ theta if K else 0.0)
+        return y - (linear_index(x, theta) if K else 0.0)
 
     return LikelihoodFamily("gaussian-fixed-scale", K, psi, psi_theta,
                             psi_gamma, psi_gammagamma, init_theta, working_residual,
@@ -77,7 +77,7 @@ def gaussian_full_scale(n_covariates: int) -> LikelihoodFamily:
         return theta[:-1], s2
 
     def resid(y, x, beta, gamma):
-        return y - (x @ beta if K else 0.0) - gamma
+        return y - (linear_index(x, beta) if K else 0.0) - gamma
 
     def psi(y, x, theta, gamma):
         beta, s2 = split(theta)
@@ -102,13 +102,13 @@ def gaussian_full_scale(n_covariates: int) -> LikelihoodFamily:
 
     def init_theta(panel: PanelData) -> np.ndarray:
         beta = _pooled_ols(panel)
-        r = panel.y - (panel.x @ beta if panel.K else 0.0)
+        r = panel.y - (linear_index(panel.x, beta) if panel.K else 0.0)
         r = r - r.mean()
         return np.append(beta, max(float(np.mean(r ** 2)), 1e-8))
 
     def working_residual(y, x, theta):
         beta, _ = split(theta)
-        return y - (x @ beta if K else 0.0)
+        return y - (linear_index(x, beta) if K else 0.0)
 
     return LikelihoodFamily("gaussian-full-scale", K + 1, psi, psi_theta,
                             psi_gamma, psi_gammagamma, init_theta, working_residual)

@@ -36,7 +36,7 @@ from .classic import run_classic_test
 from .errors import ConfigError, Empty, PanelVuongError
 from .estimation import ModelSpec
 from .families import gaussian_fixed_scale
-from .panel import GroupMap, PanelData, individual_groups, make_panel
+from .panel import GroupMap, PanelData, individual_groups, linear_index, make_panel
 from .rng import GENERATOR_VERSION, normals, stream
 from .report import TestReport, rejects
 from .stats import binomial_se, ks_distance
@@ -125,7 +125,7 @@ def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap]:
     a = normals(stream(config.master_seed, rep_index, "group_effects"), config.G)
 
     signal = config.signal
-    y = (x @ beta if K else 0.0) + eps
+    y = (linear_index(x, beta) if K else 0.0) + eps
 
     if config.kind in ("A", "B", "E"):
         b = normals(stream(config.master_seed, rep_index, "time_effects"), T)

@@ -71,6 +71,17 @@ class PanelData:
         return self.x.shape[2]
 
 
+def linear_index(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """x'theta over the trailing covariate axis of ``x``, for K > 0.
+
+    One BLAS matrix-vector product over the flattened (rows, K) view: numpy's
+    stacked ``x @ theta`` runs one product per leading index, several times
+    slower on an (n, T, K) panel.  Through K = 7 both give the same bits
+    (numpy 2.4, OpenBLAS 0.3.31); from K = 8 on they can differ in the last place.
+    """
+    return x.reshape(-1, x.shape[-1]).dot(theta).reshape(x.shape[:-1])
+
+
 def make_panel(y, x=None) -> PanelData:
     """Assemble a panel from raw arrays.
 

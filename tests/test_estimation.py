@@ -230,6 +230,19 @@ class TestFitProfileMle:
         assert rel_gap(fit.theta, fit_linear_cells(panel, gmap).theta) < 1e-8
         assert fit.iterations == 1
 
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_iterations_count_newton_steps(self, rng, monkeypatch, budget):
+        # one step solves the quadratic objective whatever the budget, and a
+        # start at the optimum takes none
+        panel = random_panel(rng, 20, 8, 1)
+        gmap = block_groups(20, 4)
+        monkeypatch.setattr(estimation, "MAX_ITER", budget)
+        family = gaussian_fixed_scale(1)
+        assert fit_profile_mle(panel, ModelSpec(family, gmap)).iterations == 1
+        exact = fit_linear_cells(panel, gmap).theta
+        at_optimum = dataclasses.replace(family, init_theta=lambda _: exact)
+        assert fit_profile_mle(panel, ModelSpec(at_optimum, gmap)).iterations == 0
+
     def test_profiled_effect_is_cell_mean_residual(self, rng):
         # the unit-scale family maximizes at the mean residual of each cell
         panel = random_panel(rng, 6, 4, 1)
@@ -461,6 +474,17 @@ def counted(family, calls):
         return call
     return dataclasses.replace(family, psi_gamma=wrap("psi_gamma"),
                                psi_gammagamma=wrap("psi_gammagamma"))
+
+
+class TestCellSizes:
+    @pytest.mark.parametrize("sizes", [None, [3, 4], [1, 1, 5]], ids=["M1", "M2", "M3"])
+    def test_sizes_match_bincount_of_ids(self, rng, sizes):
+        for n, G in ((7, 1), (12, 3), (30, 6), (40, 9)):
+            panel = random_panel(rng, n, 7, 0)
+            mmap = single_block(7) if sizes is None else blocks_from_sizes(sizes)
+            cells = estimation._Cells(panel, random_groups(rng, n, G), mmap)
+            oracle = np.bincount(cells.ids.ravel(), minlength=cells.count)
+            assert cells.size.tolist() == oracle.tolist()
 
 
 class TestCellCountIndependence:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import blocks_from_sizes, pooled_groups
 from panelvuong import GroupMap, PanelData, TimeGroupMap, individual_groups, make_panel
 from panelvuong.errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
-from panelvuong.panel import groups_from_labels, single_block
+from panelvuong.panel import groups_from_labels, linear_index, single_block
 
 
 def group_members(gmap: GroupMap) -> list:
@@ -172,3 +172,31 @@ class TestTimeGroupMap:
     def test_whole_float_codes_accepted(self):
         codes = TimeGroupMap(codes=[0.0, 1.0, 1.0], M=2).codes
         assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
+
+
+class TestLinearIndex:
+    """The flat matrix-vector product against numpy's stacked matmul, bit for bit."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n, T", [(7, 3), (20, 10), (50, 50), (100, 100)])
+    def test_same_bits_as_matmul(self, rng, n, T, K):
+        x = rng.normal(size=(n, T, K))
+        theta = rng.normal(size=K)
+        out = linear_index(x, theta)
+        assert out.shape == (n, T)
+        assert out.tobytes() == (x @ theta).tobytes()
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_non_contiguous_covariates(self, rng, K):
+        big = rng.normal(size=(20, 22, K))
+        x = big[:, ::2, :]
+        theta = rng.normal(size=K)
+        assert linear_index(x, theta).tobytes() == (x @ theta).tobytes()
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_single_point(self, rng, K):
+        # check_derivatives evaluates a family at a 0-d y with a (K,) covariate
+        x, theta = rng.normal(size=K), rng.normal(size=K)
+        out = linear_index(x, theta)
+        assert out.shape == ()
+        assert float(out) == float(x @ theta)
