@@ -221,9 +221,12 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     each with its own step length.  When the family raises ``DomainError``
     on a trial point, the step of every cell still pending in that round is
     halved.  Theta is then updated by Newton on the profiled score with step
-    halving, the Jacobian taken by central differences of the profiled score.
-    The budgets are the module constants ``TOL``, ``MAX_ITER``, ``INNER_TOL``
-    and ``MAX_HALVINGS``.
+    halving.  The Jacobian of the profiled score comes from the implicit
+    function theorem at the current effects, J = A - B' diag(1/H) B: A and B
+    are central differences in theta of the theta score and of each cell's
+    gamma score, both at fixed effects, and H is each cell's curvature, so
+    it costs family calls and no profile solve.  The budgets are the module
+    constants ``TOL``, ``MAX_ITER``, ``INNER_TOL`` and ``MAX_HALVINGS``.
 
     Raises
     ------
@@ -310,6 +313,28 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
         # a summed score cannot cancel below its own rounding floor
         return st.sum(axis=0), max(TOL, 8.0 * eps * float(np.abs(st).sum(axis=0).max()))
 
+    def theta_jacobian(th: np.ndarray, gam: np.ndarray) -> np.ndarray:
+        """J = A - B' diag(1/H) B of the profiled theta score, at profiled effects."""
+        gfield = gam[cells.ids]
+        hess = cells.sum(family.psi_gammagamma(panel.y, panel.x, th, gfield))
+        flat = np.abs(hess) / cells.size < INFO_FLOOR
+        if flat.any():
+            k = int(np.argmax(flat))
+            raise SingularInformation(
+                f"cell {cells.label(k)} curvature {hess[k] / cells.size[k]:.3e} "
+                f"below tolerance in the theta Jacobian")
+        a = np.empty((family.d_theta, family.d_theta))
+        b = np.empty((cells.count, family.d_theta))
+        for k in range(family.d_theta):
+            h = 1e-6 * max(1.0, abs(th[k]))
+            dk = np.zeros_like(th)
+            dk[k] = h
+            tp, tm = th + dk, th - dk
+            a[:, k] = (theta_score(tp, gam)[0] - theta_score(tm, gam)[0]) / (2.0 * h)
+            b[:, k] = cells.sum(family.psi_gamma(panel.y, panel.x, tp, gfield)
+                                - family.psi_gamma(panel.y, panel.x, tm, gfield)) / (2.0 * h)
+        return a - b.T @ (b / hess[:, None])
+
     gamma = profile(theta, init_gamma(theta))
     score, score_tol = theta_score(theta, gamma)
     iterations = 0
@@ -320,14 +345,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
             if iterations == MAX_ITER:
                 raise NoConvergence(f"outer iteration limit {MAX_ITER} reached")
             iterations += 1
-            jac = np.empty((family.d_theta, family.d_theta))
-            for k in range(family.d_theta):
-                h = 1e-6 * max(1.0, abs(theta[k]))
-                dk = np.zeros_like(theta)
-                dk[k] = h
-                sp = theta_score(theta + dk, profile(theta + dk, gamma))[0]
-                sm = theta_score(theta - dk, profile(theta - dk, gamma))[0]
-                jac[:, k] = (sp - sm) / (2.0 * h)
+            jac = theta_jacobian(theta, gamma)
             try:
                 step = np.linalg.solve(jac, -score)
             except np.linalg.LinAlgError:

@@ -23,11 +23,13 @@ def random_panel(rng: np.random.Generator, n: int, T: int, K: int,
 
 
 def random_groups(rng: np.random.Generator, n: int, G: int) -> GroupMap:
-    """A uniform assignment resampled until every group is hit."""
-    while True:
+    """A uniform assignment resampled until every group is hit, at most 1000
+    times: with G close to n a hit is rare, and with G > n it never comes."""
+    for _ in range(1000):
         codes = rng.integers(0, G, size=n)
         if len(np.unique(codes)) == G:
             return GroupMap(codes=codes, G=G)
+    raise ValueError(f"1000 uniform draws of n={n} units missed some of G={G} groups")
 
 
 def pooled_groups(n: int) -> GroupMap:

@@ -2,6 +2,7 @@
 profile-Newton path against the closed forms."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -260,7 +261,10 @@ def scalar_profile_mle(panel, spec, tol=1e-10, max_iter=100, inner_tol=1e-12,
     Each (group, block) cell is sliced out with ``np.ix_`` and its effect
     solved on its own, with the same convergence floor, float-spacing stop,
     curvature check, budgets and acceptance rule as ``fit_profile_mle``; a
-    ``DomainError`` halves the step of that one cell.  Returns (theta, gamma).
+    ``DomainError`` halves the step of that one cell.  The theta Jacobian
+    keeps the direct form: central differences of the profiled score, the
+    profile re-solved at theta +- h, where ``fit_profile_mle`` takes the
+    implicit-function form at fixed effects.  Returns (theta, gamma).
     """
     family, gmap = spec.family, spec.gmap
     mmap = spec.time_map(panel.T)
@@ -423,6 +427,19 @@ class TestScalarOracle:
         self.assert_matches_oracle(panel, ModelSpec(gaussian_full_scale(1),
                                                     random_groups(rng, 8, 3)))
 
+    def test_full_scale_two_covariates_time_blocks(self, rng):
+        # two slopes give A and B cross terms; B's scale column is 0 at profiled effects
+        panel = random_panel(rng, 10, 7, 2)
+        self.assert_matches_oracle(panel, ModelSpec(
+            gaussian_full_scale(2), random_groups(rng, 10, 3), blocks_from_sizes([3, 4])))
+
+    def test_poisson_two_covariates_unequal_groups(self, rng):
+        # each cell's curvature depends on theta, so A, B and H all move
+        gmap = GroupMap(codes=np.array([2, 1, 2, 2, 0, 2, 1, 2, 1, 2, 0, 2]), G=3)
+        panel = poisson_panel(rng, gmap, single_block(8), 8, 2, [0.3, 1.0, 1.8])
+        fit = self.assert_matches_oracle(panel, ModelSpec(poisson_family(2), gmap))
+        assert fit.iterations >= 2
+
     def test_poisson_cells_take_different_rounds(self, rng):
         gmap, mmap = random_groups(rng, 12, 3), blocks_from_sizes([5, 5])
         panel = poisson_panel(rng, gmap, mmap, 10, 1, [-0.5, 0.5, 1.5, 2.0])
@@ -437,30 +454,41 @@ class TestScalarOracle:
         self.assert_matches_oracle(panel, spec)
         assert raised   # the first Newton step overshoots the cap
 
-    @pytest.mark.parametrize("y_in_cell", [0.0, 1.0])
-    def test_zero_curvature_cell_named(self, y_in_cell):
-        # psi = -w (y - gamma)^2 / 2 + (1 - w) y gamma, the weight w carried in x:
-        # cell (2, 1) has w = 0, so its curvature is 0; with y = 1 there its
-        # score is nonzero and the solver meets the flat cell, with y = 0 the
-        # cell starts converged and the final curvature check meets it
-        def psi_gamma(y, x, theta, gamma):
-            w = x[..., 0]
-            return w * (y - gamma) + (1.0 - w) * y
+    @pytest.mark.parametrize("y_in_cell, d_theta", [(0.0, 0), (1.0, 0), (0.0, 1)],
+                             ids=["0.0", "1.0", "0.0-theta"])
+    def test_zero_curvature_cell_named(self, y_in_cell, d_theta):
+        # psi = -w (y - theta z - gamma)^2 / 2 + (1 - w) y gamma, with x = (w, z)
+        # and theta only when d_theta = 1: cell (2, 1) has w = 0, so its
+        # curvature is 0.  With y = 1 there its score is nonzero and the solver
+        # meets the flat cell; with y = 0 the cell starts converged, and the
+        # theta Jacobian meets it (d_theta = 1, where dividing by the curvature
+        # would warn 0/0) or else the final curvature check does
+        def resid(y, x, theta, gamma):
+            return y - (theta[0] * x[..., 1] if d_theta else 0.0) - gamma
 
         def psi(y, x, theta, gamma):
             w = x[..., 0]
-            return -0.5 * w * (y - gamma) ** 2 + (1.0 - w) * y * gamma
+            return -0.5 * w * resid(y, x, theta, gamma) ** 2 + (1.0 - w) * y * gamma
 
-        family = LikelihoodFamily(
-            "flat-cell", 0, psi, lambda y, x, th, g: np.zeros(np.shape(y) + (0,)),
-            psi_gamma, lambda y, x, th, g: -x[..., 0] + 0.0 * g)
+        def psi_theta(y, x, theta, gamma):
+            score = x[..., 0] * x[..., 1] * resid(y, x, theta, gamma)
+            return score[..., None][..., :d_theta]
+
+        def psi_gamma(y, x, theta, gamma):
+            w = x[..., 0]
+            return w * resid(y, x, theta, gamma) + (1.0 - w) * y
+
+        family = LikelihoodFamily("flat-cell", d_theta, psi, psi_theta, psi_gamma,
+                                  lambda y, x, th, g: -x[..., 0] + 0.0 * g)
         gmap = GroupMap(codes=np.array([0, 0, 1, 1, 2, 2]), G=3)
         y = np.arange(18.0).reshape(6, 3)
         y[2:4] = y_in_cell
-        w = np.ones((6, 3, 1))
-        w[2:4] = 0.0
-        with pytest.raises(SingularInformation, match=r"cell \(2, 1\)"):
-            fit_profile_mle(make_panel(y, w), ModelSpec(family, gmap))
+        x = np.stack([np.ones((6, 3)), np.linspace(-1.0, 2.0, 18).reshape(6, 3)], axis=-1)
+        x[2:4, :, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInformation, match=r"cell \(2, 1\)"):
+                fit_profile_mle(make_panel(y, x), ModelSpec(family, gmap))
 
 
 def counted(family, calls):
@@ -498,6 +526,23 @@ class TestCellCountIndependence:
             fit = fit_profile_mle(panel, spec)
             per_g[G] = (fit.iterations, calls)
         assert per_g[5] == per_g[50]
+
+
+class TestJacobianCost:
+    def test_fixed_scale_fit_family_calls(self, rng):
+        # deterministic guard on the cost: the unit-scale objective is
+        # quadratic in theta, so the fit takes one Newton step, and each step
+        # costs one Jacobian pass plus one trial profile:
+        #   start profile, converged at its working-residual seed: 1 psi_gamma
+        #   Jacobian pass, at fixed effects: 2 psi_gamma (theta +- h), 1 psi_gammagamma
+        #   trial profile: 1 psi_gamma, then one round of 1 psi_gammagamma and
+        #     1 psi_gamma, after which every cell score is within tolerance
+        #   final scores and curvature: 1 psi_gamma, 1 psi_gammagamma
+        panel = random_panel(rng, 20, 8, 1)
+        calls = {"psi_gamma": 0, "psi_gammagamma": 0}
+        spec = ModelSpec(counted(gaussian_fixed_scale(1), calls), block_groups(20, 4))
+        assert fit_profile_mle(panel, spec).iterations == 1
+        assert calls == {"psi_gamma": 6, "psi_gammagamma": 3}
 
 
 class TestThetaScoreOnce:

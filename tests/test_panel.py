@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import blocks_from_sizes, pooled_groups
+from conftest import blocks_from_sizes, pooled_groups, random_groups
 from panelvuong import GroupMap, PanelData, TimeGroupMap, individual_groups, make_panel
 from panelvuong.errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 from panelvuong.panel import groups_from_labels, linear_index, single_block
@@ -132,6 +132,11 @@ class TestGroupPartition:
         members, sizes = group_members(gmap), gmap.sizes
         assert sizes.sum() == len(raw)
         assert sorted(np.concatenate(members).tolist()) == list(range(len(raw)))
+
+    def test_random_groups_gives_up(self, rng):
+        # the test helper caps its redraws: 3 units can never hit 4 groups
+        with pytest.raises(ValueError, match=r"n=3 units missed some of G=4 groups"):
+            random_groups(rng, 3, 4)
 
     def test_from_labels_first_appearance(self):
         gmap, order = groups_from_labels(["b", "a", "b", "c"])
