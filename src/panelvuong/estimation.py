@@ -10,7 +10,7 @@ needed by the model-comparison tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,8 +74,12 @@ class GroupedTimeFit:
     gmap: GroupMap
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD normalized Gram system with rank diagnostics."""
+def _within_theta(xdot: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares theta of y on demeaned (n, T, K) covariates, with rank
+    diagnostics on their normalized Gram matrix."""
+    n, T, _ = xdot.shape
+    gram = np.einsum("itk,itl->kl", xdot, xdot) / (n * T)
+    rhs = np.einsum("itk,it->k", xdot, y) / (n * T)
     eig = np.linalg.eigvalsh(gram)
     lo, hi = float(eig[0]), float(eig[-1])
     if lo < EIG_FLOOR or hi / max(lo, 1e-300) > COND_LIMIT:
@@ -109,13 +113,13 @@ class _Cells:
         """Per-cell sums of an (n, T) array."""
         return np.bincount(self._flat, weights=a.ravel(), minlength=self.count)
 
+    def mean(self, a: np.ndarray) -> np.ndarray:
+        """Per-cell means of an (n, T) array."""
+        return self.sum(a) / self.size
+
     def label(self, k: int) -> str:
         """One-based (g, m) of flat cell ``k``."""
         return f"({k // self.M + 1}, {k % self.M + 1})"
-
-
-def _group_indicator(gmap: GroupMap) -> np.ndarray:
-    return (gmap.codes[None, :] == np.arange(gmap.G)[:, None]).astype(float)
 
 
 def fit_linear_cells(panel: PanelData, gmap: GroupMap,
@@ -126,25 +130,19 @@ def fit_linear_cells(panel: PanelData, gmap: GroupMap,
     demeaning; the first-order conditions hold by linear algebra rather than
     iteration.  The returned log-likelihood is the unit-scale Gaussian one.
     """
-    n, T, K = panel.n, panel.T, panel.K
-    mmap = mmap if mmap is not None else single_block(T)
+    K = panel.K
+    mmap = mmap if mmap is not None else single_block(panel.T)
     cells = _Cells(panel, gmap, mmap)
 
-    def cell_mean(a: np.ndarray) -> np.ndarray:
-        return cells.sum(a) / cells.size
-
     if K:
-        xm = np.stack([cell_mean(panel.x[:, :, k]) for k in range(K)], axis=1)  # (ncell, K)
-        xdot = panel.x - xm[cells.ids]
-        gram = np.einsum("itk,itl->kl", xdot, xdot) / (n * T)
-        rhs = np.einsum("itk,it->k", xdot, panel.y) / (n * T)
-        theta = _solve_gram(gram, rhs)
+        xm = np.stack([cells.mean(panel.x[:, :, k]) for k in range(K)], axis=1)  # (ncell, K)
+        theta = _within_theta(panel.x - xm[cells.ids], panel.y)
         work = panel.y - linear_index(panel.x, theta)
     else:
         theta = np.zeros(0)
         work = panel.y
 
-    gamma_flat = cell_mean(work)
+    gamma_flat = cells.mean(work)
     resid = work - gamma_flat[cells.ids]
     loglik_obs = -0.5 * resid ** 2
     return FitResult(
@@ -163,17 +161,13 @@ def fit_grouped_time(panel: PanelData, gmap: GroupMap) -> GroupedTimeFit:
     """Group-by-time effects: theta from within-(g, t) demeaning, effects as
     cell means of the working residual."""
     _check_maps(panel, gmap)
-    n, T, K = panel.n, panel.T, panel.K
-    Z = _group_indicator(gmap)
+    Z = (gmap.codes[None, :] == np.arange(gmap.G)[:, None]).astype(float)   # (G, n)
     sizes = gmap.sizes.astype(float)
 
     ybar_gt = (Z @ panel.y) / sizes[:, None]                       # (G, T)
-    if K:
+    if panel.K:
         xbar_gt = np.einsum("gi,itk->gtk", Z, panel.x) / sizes[:, None, None]
-        xdot = panel.x - xbar_gt[gmap.codes]
-        gram = np.einsum("itk,itl->kl", xdot, xdot) / (n * T)
-        rhs = np.einsum("itk,it->k", xdot, panel.y) / (n * T)
-        theta = _solve_gram(gram, rhs)
+        theta = _within_theta(panel.x - xbar_gt[gmap.codes], panel.y)
         gamma_gt = ybar_gt - linear_index(xbar_gt, theta)
         resid = panel.y - linear_index(panel.x, theta) - gamma_gt[gmap.codes]
     else:
@@ -185,20 +179,16 @@ def fit_grouped_time(panel: PanelData, gmap: GroupMap) -> GroupedTimeFit:
 
 def fit_twfe(panel: PanelData) -> TwfeFit:
     """Additive unit + time effects with the time effects summing to zero."""
-    n, T, K = panel.n, panel.T, panel.K
     y = panel.y
     ybar_i = y.mean(axis=1)
     ybar_t = y.mean(axis=0)
     ybar = y.mean()
 
-    if K:
+    if panel.K:
         xbar_i = panel.x.mean(axis=1)                  # (n, K)
         xbar_t = panel.x.mean(axis=0)                  # (T, K)
         xbar = panel.x.mean(axis=(0, 1))               # (K,)
-        xddot = panel.x - xbar_i[:, None, :] - xbar_t[None, :, :] + xbar
-        gram = np.einsum("itk,itl->kl", xddot, xddot) / (n * T)
-        rhs = np.einsum("itk,it->k", xddot, y) / (n * T)
-        theta = _solve_gram(gram, rhs)
+        theta = _within_theta(panel.x - xbar_i[:, None, :] - xbar_t[None, :, :] + xbar, y)
         alpha = ybar_i - xbar_i @ theta
         delta = (ybar_t - ybar) - (xbar_t - xbar) @ theta
         resid = y - linear_index(panel.x, theta) - alpha[:, None] - delta[None, :]
@@ -225,15 +215,21 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     function theorem at the current effects, J = A - B' diag(1/H) B: A and B
     are central differences in theta of the theta score and of each cell's
     gamma score, both at fixed effects, and H is each cell's curvature, so
-    it costs family calls and no profile solve.  The budgets are the module
-    constants ``TOL``, ``MAX_ITER``, ``INNER_TOL`` and ``MAX_HALVINGS``.
+    it costs family calls and no profile solve.  The returned ``score_gamma``
+    is the last gamma-score field the accepted profile solve evaluated, which
+    is at the returned effects, so the final pass calls only ``psi`` and
+    ``psi_gammagamma``.  The budgets are the module constants ``TOL``,
+    ``MAX_ITER``, ``INNER_TOL`` and ``MAX_HALVINGS``.
 
     Raises
     ------
     RankDeficient
         If the spec's group maps do not cover the panel.
+    DomainError
+        If ``init_theta`` returns a shape other than ``(d_theta,)``.
     SingularInformation
-        If a cell's average curvature falls below ``1e-12`` in magnitude.
+        If a cell's average curvature falls below ``1e-12`` in magnitude, or
+        at the optimum is not below ``-1e-12``.
     NoConvergence
         If the first-order conditions stay above ``1e-10`` after 100 Newton
         steps on theta, or no step improves within 30 halvings.
@@ -254,9 +250,24 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     def init_gamma(th: np.ndarray) -> np.ndarray:
         if family.working_residual is None:
             return np.zeros(cells.count)
-        return cells.sum(family.working_residual(panel.y, panel.x, th)) / cells.size
+        return cells.mean(family.working_residual(panel.y, panel.x, th))
 
-    def profile(th: np.ndarray, gam_start: np.ndarray) -> np.ndarray:
+    def curvature(th: np.ndarray, gfield: np.ndarray, phase: str, check=True) -> np.ndarray:
+        """Per-cell sums of psi_gammagamma; the first checked cell whose average
+        is flat (not negative, in the final pass) raises, naming the phase."""
+        h = cells.sum(family.psi_gammagamma(panel.y, panel.x, th, gfield))
+        info = h / cells.size
+        flat = check & (info >= -INFO_FLOOR if phase == "not negative"
+                        else np.abs(info) < INFO_FLOOR)
+        if flat.any():
+            k = int(np.argmax(flat))
+            raise SingularInformation(f"cell {cells.label(k)} curvature {info[k]:.3e} {phase}")
+        return h
+
+    def profile(th: np.ndarray, gam_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Profiled cell effects at th and the psi_gamma field last evaluated,
+        which is at those effects: in a round's last trial every cell either
+        has a zero step or is accepted at its trial value."""
         gam = gam_start.copy()
         scores = family.psi_gamma(panel.y, panel.x, th, gam[cells.ids])
         s, s_abs = cells.sum(scores), cells.sum(np.abs(scores))
@@ -266,34 +277,28 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
             floor = np.maximum(INNER_TOL, 8.0 * eps * s_abs)
             active &= ~(np.abs(s) <= floor)   # a NaN score stays active
             if not active.any():
-                return gam
-            h = cells.sum(family.psi_gammagamma(panel.y, panel.x, th, gam[cells.ids]))
-            flat = active & (np.abs(h) / cells.size < INFO_FLOOR)
-            if flat.any():
-                k = int(np.argmax(flat))
-                raise SingularInformation(
-                    f"cell {cells.label(k)} curvature {h[k] / cells.size[k]:.3e} "
-                    f"below tolerance while profiling")
+                return gam, scores
+            h = curvature(th, gam[cells.ids], "below tolerance while profiling", active)
             step = np.zeros(cells.count)
             step[active] = -s[active] / h[active]
             # updates below the float spacing of the effect stop that cell
             active &= ~(np.abs(step) <= 4.0 * eps * np.maximum(1.0, np.abs(gam)))
             if not active.any():
-                return gam
+                return gam, scores
             lam = np.where(active, 1.0, 0.0)
             pending = active.copy()
             for _ in range(MAX_HALVINGS):
                 trial = gam + lam * step
                 try:
-                    scores_new = family.psi_gamma(panel.y, panel.x, th, trial[cells.ids])
+                    scores = family.psi_gamma(panel.y, panel.x, th, trial[cells.ids])
                 except DomainError:
                     lam *= 0.5
                     continue
-                s_new = cells.sum(scores_new)
+                s_new = cells.sum(scores)
                 ok = pending & ((np.abs(s_new) < np.abs(s)) | (np.abs(s_new) <= floor))
                 gam[ok] = trial[ok]
                 s[ok] = s_new[ok]
-                s_abs[ok] = cells.sum(np.abs(scores_new))[ok]
+                s_abs[ok] = cells.sum(np.abs(scores))[ok]
                 pending &= ~ok
                 if not pending.any():
                     break
@@ -316,13 +321,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     def theta_jacobian(th: np.ndarray, gam: np.ndarray) -> np.ndarray:
         """J = A - B' diag(1/H) B of the profiled theta score, at profiled effects."""
         gfield = gam[cells.ids]
-        hess = cells.sum(family.psi_gammagamma(panel.y, panel.x, th, gfield))
-        flat = np.abs(hess) / cells.size < INFO_FLOOR
-        if flat.any():
-            k = int(np.argmax(flat))
-            raise SingularInformation(
-                f"cell {cells.label(k)} curvature {hess[k] / cells.size[k]:.3e} "
-                f"below tolerance in the theta Jacobian")
+        hess = curvature(th, gfield, "below tolerance in the theta Jacobian")
         a = np.empty((family.d_theta, family.d_theta))
         b = np.empty((cells.count, family.d_theta))
         for k in range(family.d_theta):
@@ -335,7 +334,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
                                 - family.psi_gamma(panel.y, panel.x, tm, gfield)) / (2.0 * h)
         return a - b.T @ (b / hess[:, None])
 
-    gamma = profile(theta, init_gamma(theta))
+    gamma, score_gamma = profile(theta, init_gamma(theta))
     score, score_tol = theta_score(theta, gamma)
     iterations = 0
     theta_scale = float(np.max(np.abs(theta))) if theta.size else 0.0
@@ -355,14 +354,15 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
             for _ in range(MAX_HALVINGS):
                 try:
                     theta_new = theta + lam * step
-                    gamma_new = profile(theta_new, gamma)
+                    gamma_new, field_new = profile(theta_new, gamma)
                     score_new, tol_new = theta_score(theta_new, gamma_new)
                 except DomainError:
                     lam *= 0.5
                     continue
                 if np.max(np.abs(score_new)) < np.max(np.abs(score)) \
                         or np.max(np.abs(score_new)) <= TOL:
-                    theta, gamma, score, score_tol = theta_new, gamma_new, score_new, tol_new
+                    theta, gamma, score_gamma = theta_new, gamma_new, field_new
+                    score, score_tol = score_new, tol_new
                     break
                 lam *= 0.5
             else:
@@ -379,12 +379,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
 
     gfield = gamma[cells.ids]
     loglik_obs = family.psi(panel.y, panel.x, theta, gfield)
-    score_gamma = family.psi_gamma(panel.y, panel.x, theta, gfield)
-    info = cells.sum(family.psi_gammagamma(panel.y, panel.x, theta, gfield)) / cells.size
-    flat = info >= -INFO_FLOOR
-    if flat.any():
-        k = int(np.argmax(flat))
-        raise SingularInformation(f"cell {cells.label(k)} curvature {info[k]:.3e} not negative")
+    info = curvature(theta, gfield, "not negative") / cells.size
     floor = np.maximum(np.maximum(TOL, 8.0 * eps * cells.sum(np.abs(score_gamma))),
                        4.0 * eps * np.maximum(1.0, np.abs(gamma)) * np.abs(info) * cells.size)
     off = np.abs(cells.sum(score_gamma)) > floor
@@ -399,7 +394,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
         score_gamma=score_gamma,
         info_gamma=info.reshape(gmap.G, mmap.M),
         iterations=iterations,
-        spec=ModelSpec(family, gmap, mmap),
+        spec=spec,
     )
 
 
@@ -408,8 +403,8 @@ def fit_model(panel: PanelData, spec: ModelSpec) -> FitResult:
 
     The unit-scale Gaussian family maximizes the same objective as
     :func:`fit_linear_cells`, so it dispatches there; other families go
-    through :func:`fit_profile_mle`.
+    through :func:`fit_profile_mle`.  Either way the fit keeps ``spec``.
     """
     if spec.family.name == "gaussian-fixed-scale":
-        return fit_linear_cells(panel, spec.gmap, spec.time_map(panel.T))
+        return replace(fit_linear_cells(panel, spec.gmap, spec.time_map(panel.T)), spec=spec)
     return fit_profile_mle(panel, spec)

@@ -189,12 +189,15 @@ class McResult:
         return sum(r.failed for r in self.records)
 
     def rejection_rate(self, level: float, side: str) -> tuple[float, float, int]:
-        """(rate, binomial SE, effective count) excluding degenerate reps."""
+        """(rate, binomial SE, effective count) excluding degenerate reps;
+        ``side`` is "two" or "one"."""
         return _rejection_rate(self.valid_records(), level, side)
 
 
 def _rejection_rate(valid: list[RepRecord], level: float,
                     side: str) -> tuple[float, float, int]:
+    if side not in ("two", "one"):
+        raise ConfigError(f"side must be 'two' or 'one', got {side!r}")
     pick = 0 if side == "two" else 1
     flags = [rejects(r.statistic, level)[pick] for r in valid]
     count = len(flags)

@@ -1,5 +1,6 @@
 """Components and decisions of the individual-vs-grouped effects test."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import blocks_from_sizes, pooled_groups, random_groups, random_pan
 from oracles import (bias_correction, mqlr_classic, s2_gamma_unit,
                      sigma2_cross_unit, sigma2_gamma_unit, variance_components,
                      variance_u_regrouped)
-from panelvuong import (ModelSpec, classic_components, fit_model,
+from panelvuong import (ModelSpec, classic_components, fit_model, fit_profile_mle,
                         gaussian_fixed_scale, gaussian_full_scale,
                         individual_groups, make_panel, run_classic_test)
 from panelvuong.classic import MAX_RULE_NOTE, NESTED_NOTE, dof_factor, omega2_hybrid
@@ -423,6 +424,17 @@ class TestNestedVariance:
         assert comp.r_1 == bias_correction(fit1)
         assert comp.sigma2_u == comp.sigma2_u_raw
         assert comp.mqlr == mqlr_classic(fit1, fit2)
+
+    def test_closed_form_fit_keeps_the_callers_spec(self, rng):
+        # a unit-scale family with the factor switched off must not come back
+        # with it on from the closed-form path
+        n, T = 16, 10
+        panel = random_panel(rng, n, T, 1)
+        family = dataclasses.replace(gaussian_fixed_scale(1), dof_rescaled=False)
+        spec = ModelSpec(family, random_groups(rng, n, 4))
+        fit = fit_model(panel, spec)
+        assert fit.spec is spec
+        assert dof_factor(fit) == dof_factor(fit_profile_mle(panel, spec)) == 1.0
 
     def test_identical_specs_with_covariates_degenerate(self, rng):
         # identical specs get identical dof factors, so the statistic and

@@ -246,6 +246,17 @@ class TestCmdTest:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "error: file is empty (row 1)\n"),
+        ("unit,time,y,region\n", "error: no data rows (row 2)\n"),
+    ], ids=["empty", "header_only"])
+    def test_no_data_exit_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(["test", "twfe", "--input", str(path), "--group-col", "region"])
+        assert code == 1
+        assert capsys.readouterr().err == message
+
     def test_report_deterministic(self, tmp_path, panel_csv):
         path, _, _ = panel_csv
         out1 = tmp_path / "r1.json"

@@ -254,6 +254,41 @@ class TestFitProfileMle:
             assert fit.gamma[g, 0] == pytest.approx(work[np.flatnonzero(gmap.codes == g)].mean())
 
 
+class TestProfileFailures:
+    """Each failure branch of fit_profile_mle raises its typed error."""
+
+    def test_convex_family_not_negative(self, rng):
+        # psi = +(y - gamma)^2 / 2 has a stationary point at each cell mean,
+        # a minimum, which the final pass must refuse
+        family = LikelihoodFamily(
+            "convex", 0, lambda y, x, th, g: 0.5 * (y - g) ** 2,
+            lambda y, x, th, g: np.zeros(np.shape(y) + (0,)),
+            lambda y, x, th, g: g - y, lambda y, x, th, g: np.ones(np.shape(y)))
+        panel = random_panel(rng, 6, 4, 0)
+        with pytest.raises(SingularInformation, match="not negative"):
+            fit_profile_mle(panel, ModelSpec(family, random_groups(rng, 6, 2)))
+
+    def test_init_theta_of_wrong_shape(self, rng):
+        family = dataclasses.replace(gaussian_fixed_scale(1), init_theta=lambda _: np.zeros(2))
+        with pytest.raises(DomainError, match=r"shape \(2,\), expected \(1,\)"):
+            fit_profile_mle(random_panel(rng, 6, 4, 1), ModelSpec(family, random_groups(rng, 6, 2)))
+
+    def test_outer_iteration_limit(self, rng, monkeypatch):
+        # the full-scale objective needs more than one Newton step on theta
+        monkeypatch.setattr(estimation, "MAX_ITER", 1)
+        spec = ModelSpec(gaussian_full_scale(1), block_groups(20, 4))
+        with pytest.raises(NoConvergence, match="outer iteration limit 1 reached"):
+            fit_profile_mle(random_panel(rng, 20, 8, 1), spec)
+
+    def test_no_improving_step(self, rng, monkeypatch):
+        # the start profile converges at its seed without halving; the first
+        # theta step then has no halvings to try
+        monkeypatch.setattr(estimation, "MAX_HALVINGS", 0)
+        spec = ModelSpec(gaussian_fixed_scale(1), block_groups(20, 4))
+        with pytest.raises(NoConvergence, match="no improving step after 0 halvings"):
+            fit_profile_mle(random_panel(rng, 20, 8, 1), spec)
+
+
 def scalar_profile_mle(panel, spec, tol=1e-10, max_iter=100, inner_tol=1e-12,
                        max_halvings=30):
     """Oracle: profile-Newton with a scalar safeguarded Newton per cell.
@@ -537,12 +572,13 @@ class TestJacobianCost:
         #   Jacobian pass, at fixed effects: 2 psi_gamma (theta +- h), 1 psi_gammagamma
         #   trial profile: 1 psi_gamma, then one round of 1 psi_gammagamma and
         #     1 psi_gamma, after which every cell score is within tolerance
-        #   final scores and curvature: 1 psi_gamma, 1 psi_gammagamma
+        #   final curvature: 1 psi_gammagamma; the scores are the accepted
+        #     trial profile's last ones, already at the returned effects
         panel = random_panel(rng, 20, 8, 1)
         calls = {"psi_gamma": 0, "psi_gammagamma": 0}
         spec = ModelSpec(counted(gaussian_fixed_scale(1), calls), block_groups(20, 4))
         assert fit_profile_mle(panel, spec).iterations == 1
-        assert calls == {"psi_gamma": 6, "psi_gammagamma": 3}
+        assert calls == {"psi_gamma": 5, "psi_gammagamma": 3}
 
 
 class TestThetaScoreOnce:

@@ -9,7 +9,8 @@ from oracles import local_power_curve
 from panelvuong import (DgpConfig, ModelSpec, gaussian_fixed_scale, generate,
                         individual_groups, run_classic_test, run_replications,
                         run_twfe_test, summarize)
-from panelvuong.errors import ConfigError, Empty
+from panelvuong import montecarlo
+from panelvuong.errors import ConfigError, Empty, NoConvergence
 from panelvuong.montecarlo import (McResult, RepRecord, block_groups,
                                    replications_jsonl, size_power_csv)
 from panelvuong.report import rejects
@@ -126,6 +127,33 @@ class TestRunReplications:
         with pytest.raises(ConfigError, match="distinct"):
             run_replications(cfg(), levels=(0.05, 0.05), reps=2)
 
+    @staticmethod
+    def fail_once(monkeypatch, rep):
+        """Make the twfe test raise NoConvergence at replication ``rep`` only;
+        replications run in index order, so the call count is the index."""
+        real, calls = montecarlo.run_twfe_test, []
+
+        def flaky(panel, gmap):
+            calls.append(None)
+            if len(calls) == rep + 1:
+                raise NoConvergence("boom")
+            return real(panel, gmap)
+        monkeypatch.setattr(montecarlo, "run_twfe_test", flaky)
+
+    def test_failures_up_to_one_percent_are_recorded(self, monkeypatch):
+        self.fail_once(monkeypatch, 3)
+        mc = run_replications(cfg(), reps=200)
+        assert [r.rep for r in mc.records if r.failed] == [3]
+        assert mc.records[3].error == "NoConvergence: boom"
+        assert replications_jsonl(mc).splitlines()[3] == \
+            '{"rep": 3, "failed": true, "error": "NoConvergence: boom"}'
+
+    def test_failures_above_one_percent_are_fatal(self, monkeypatch):
+        self.fail_once(monkeypatch, 3)
+        with pytest.raises(ConfigError) as info:
+            run_replications(cfg(), reps=50)
+        assert str(info.value) == "1/50 replications failed; first error: NoConvergence: boom"
+
     def test_classic_kind_runs(self):
         mc = run_replications(cfg(kind="C", n=15, T=10, G=3), reps=5)
         assert mc.config.test == "classic"
@@ -150,6 +178,13 @@ class TestSummarize:
         assert summary.rows[0].reps == 1
         assert summary.rows[0].rate == 1.0
         assert summary.degenerate_count == 1
+
+    @pytest.mark.parametrize("side", ["tow", "both"])
+    def test_unknown_side_refused(self, side):
+        records = [RepRecord(rep=0, mqlr=5.0, omega2=1.0, qlr=5.0, statistic=5.0)]
+        mc = McResult(config=cfg(), levels=(0.05,), records=records)
+        with pytest.raises(ConfigError, match="side"):
+            mc.rejection_rate(0.05, side)
 
     def test_empty_raises(self):
         mc = McResult(config=cfg(), levels=(0.05,), records=[])

@@ -5,6 +5,9 @@ import re
 from pathlib import Path
 
 import panelvuong
+from panelvuong import estimation
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_lists_public_names_only():
@@ -17,6 +20,14 @@ def test_all_lists_public_names_only():
 
 
 def test_every_exported_name_is_in_the_readme():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     missing = [n for n in panelvuong.__all__ if not re.search(rf"\b{n}\b", readme)]
     assert not missing
+
+
+def test_readme_states_the_solver_budgets():
+    readme = README.read_text(encoding="utf-8")
+    for name in ("TOL", "MAX_ITER", "INNER_TOL", "MAX_HALVINGS"):
+        stated = re.findall(rf"`{name} = ([^`]+)`", readme)
+        assert stated, name
+        assert [float(v) for v in stated] == [getattr(estimation, name)] * len(stated), name
