@@ -149,9 +149,9 @@ def dof_factor(fit: FitResult) -> float:
     by the estimated scale RSS / (nT), which shrinks with the residual dof
     as the within-unit moments do, and model 1's plug-in sums to n exactly.
     Applying nT / (n(T - 1) - d_theta) there over-corrects: on the kind-C
-    null at n=T=50 it moved the mean bias-corrected log-likelihood ratio of
-    the converged fits from +0.09 to -0.34 (se 0.10).  Custom families get
-    no factor unless they set the flag.
+    null at n=T=50 (seed 778, all 3000 replications fitted) it moves the mean
+    bias-corrected log-likelihood ratio from +0.15 to -0.28 (se 0.08).
+    Custom families get no factor unless they set the flag.
     """
     family = fit.spec.family
     if not family.dof_rescaled:
@@ -235,9 +235,8 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
     sigma2_nt = float((dpsi ** 2).sum() / (n * T) - mqlr ** 2 / (n * T))
     sigma2_u, sigma2_s = _u_and_s(v1, v2, s2, c12, fit_2)
     # model 2 is model 1 with its unit effects restricted within groups
-    # when both fits use one family (same name and d_theta)
-    f1, f2 = fit_1.spec.family, fit_2.spec.family
-    nested = f1.name == f2.name and f1.d_theta == f2.d_theta
+    # when both fits use one family (equal by ==, see panelvuong.families)
+    nested = fit_1.spec.family == fit_2.spec.family
 
     return ClassicComponents(
         sigma2_1=raw[0],

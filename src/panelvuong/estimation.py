@@ -10,12 +10,12 @@ needed by the model-comparison tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, RankDeficient, SingularInformation
-from .families import LikelihoodFamily, gaussian_fixed_scale
+from .families import LikelihoodFamily, gaussian_fixed_scale, gaussian_full_scale
 from .panel import GroupMap, PanelData, TimeGroupMap, linear_index, single_block
 
 COND_LIMIT = 1e12
@@ -122,39 +122,36 @@ class _Cells:
         return f"({k // self.M + 1}, {k % self.M + 1})"
 
 
+def _curvature(panel: PanelData, family: LikelihoodFamily, cells: _Cells, theta: np.ndarray,
+               gfield: np.ndarray, phase: str, check=True) -> np.ndarray:
+    """Per-cell sums of psi_gammagamma; the first checked cell whose average
+    is flat (not negative, in the final pass) raises, naming the phase."""
+    h = cells.sum(family.psi_gammagamma(panel.y, panel.x, theta, gfield))
+    info = h / cells.size
+    flat = check & (info >= -INFO_FLOOR if phase == "not negative"
+                    else np.abs(info) < INFO_FLOOR)
+    if flat.any():
+        k = int(np.argmax(flat))
+        raise SingularInformation(f"cell {cells.label(k)} curvature {info[k]:.3e} {phase}")
+    return h
+
+
+def _fit_result(panel: PanelData, spec: ModelSpec, cells: _Cells, theta: np.ndarray,
+                gamma: np.ndarray, score_gamma: np.ndarray, iterations: int) -> FitResult:
+    """The fit at (theta, flat cell effects gamma), whose cell curvatures must be negative."""
+    gfield = gamma[cells.ids]
+    loglik_obs = spec.family.psi(panel.y, panel.x, theta, gfield)
+    info = _curvature(panel, spec.family, cells, theta, gfield, "not negative") / cells.size
+    shape = (spec.gmap.G, cells.M)
+    return FitResult(theta, gamma.reshape(shape), float(loglik_obs.sum()), loglik_obs,
+                     score_gamma, info.reshape(shape), iterations, spec)
+
+
 def fit_linear_cells(panel: PanelData, gmap: GroupMap,
                      mmap: TimeGroupMap | None = None) -> FitResult:
-    """Exact least squares with one effect per (group, block) cell.
-
-    Minimizes sum (y - x'theta - gamma_{g(i),m(t)})^2 by within-cell
-    demeaning; the first-order conditions hold by linear algebra rather than
-    iteration.  The returned log-likelihood is the unit-scale Gaussian one.
-    """
-    K = panel.K
-    mmap = mmap if mmap is not None else single_block(panel.T)
-    cells = _Cells(panel, gmap, mmap)
-
-    if K:
-        xm = np.stack([cells.mean(panel.x[:, :, k]) for k in range(K)], axis=1)  # (ncell, K)
-        theta = _within_theta(panel.x - xm[cells.ids], panel.y)
-        work = panel.y - linear_index(panel.x, theta)
-    else:
-        theta = np.zeros(0)
-        work = panel.y
-
-    gamma_flat = cells.mean(work)
-    resid = work - gamma_flat[cells.ids]
-    loglik_obs = -0.5 * resid ** 2
-    return FitResult(
-        theta=theta,
-        gamma=gamma_flat.reshape(gmap.G, mmap.M),
-        loglik=float(loglik_obs.sum()),
-        loglik_obs=loglik_obs,
-        score_gamma=resid,
-        info_gamma=np.full((gmap.G, mmap.M), -1.0),
-        iterations=0,
-        spec=ModelSpec(gaussian_fixed_scale(K), gmap, mmap),
-    )
+    """Exact least squares with one effect per (group, block) cell: :func:`fit_model`
+    with the unit-scale Gaussian family, whose ``score_gamma`` is the residual."""
+    return fit_model(panel, ModelSpec(gaussian_fixed_scale(panel.K), gmap, mmap))
 
 
 def fit_grouped_time(panel: PanelData, gmap: GroupMap) -> GroupedTimeFit:
@@ -235,34 +232,13 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
         steps on theta, or no step improves within 30 halvings.
     """
     family = spec.family
-    gmap = spec.gmap
-    mmap = spec.time_map(panel.T)
-    cells = _Cells(panel, gmap, mmap)
+    cells = _Cells(panel, spec.gmap, spec.time_map(panel.T))
     eps = np.finfo(float).eps
 
-    if family.init_theta is not None:
-        theta = np.asarray(family.init_theta(panel), dtype=float)
-    else:
-        theta = np.zeros(family.d_theta)
+    theta = (np.asarray(family.init_theta(panel), dtype=float) if family.init_theta is not None
+             else np.zeros(family.d_theta))
     if theta.shape != (family.d_theta,):
         raise DomainError(f"init_theta returned shape {theta.shape}, expected ({family.d_theta},)")
-
-    def init_gamma(th: np.ndarray) -> np.ndarray:
-        if family.working_residual is None:
-            return np.zeros(cells.count)
-        return cells.mean(family.working_residual(panel.y, panel.x, th))
-
-    def curvature(th: np.ndarray, gfield: np.ndarray, phase: str, check=True) -> np.ndarray:
-        """Per-cell sums of psi_gammagamma; the first checked cell whose average
-        is flat (not negative, in the final pass) raises, naming the phase."""
-        h = cells.sum(family.psi_gammagamma(panel.y, panel.x, th, gfield))
-        info = h / cells.size
-        flat = check & (info >= -INFO_FLOOR if phase == "not negative"
-                        else np.abs(info) < INFO_FLOOR)
-        if flat.any():
-            k = int(np.argmax(flat))
-            raise SingularInformation(f"cell {cells.label(k)} curvature {info[k]:.3e} {phase}")
-        return h
 
     def profile(th: np.ndarray, gam_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Profiled cell effects at th and the psi_gamma field last evaluated,
@@ -278,7 +254,8 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
             active &= ~(np.abs(s) <= floor)   # a NaN score stays active
             if not active.any():
                 return gam, scores
-            h = curvature(th, gam[cells.ids], "below tolerance while profiling", active)
+            h = _curvature(panel, family, cells, th, gam[cells.ids],
+                           "below tolerance while profiling", active)
             step = np.zeros(cells.count)
             step[active] = -s[active] / h[active]
             # updates below the float spacing of the effect stop that cell
@@ -321,7 +298,8 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
     def theta_jacobian(th: np.ndarray, gam: np.ndarray) -> np.ndarray:
         """J = A - B' diag(1/H) B of the profiled theta score, at profiled effects."""
         gfield = gam[cells.ids]
-        hess = curvature(th, gfield, "below tolerance in the theta Jacobian")
+        hess = _curvature(panel, family, cells, th, gfield,
+                          "below tolerance in the theta Jacobian")
         a = np.empty((family.d_theta, family.d_theta))
         b = np.empty((cells.count, family.d_theta))
         for k in range(family.d_theta):
@@ -334,7 +312,8 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
                                 - family.psi_gamma(panel.y, panel.x, tm, gfield)) / (2.0 * h)
         return a - b.T @ (b / hess[:, None])
 
-    gamma, score_gamma = profile(theta, init_gamma(theta))
+    gamma, score_gamma = profile(theta, np.zeros(cells.count) if family.working_residual is None
+                                 else cells.mean(family.working_residual(panel.y, panel.x, theta)))
     score, score_tol = theta_score(theta, gamma)
     iterations = 0
     theta_scale = float(np.max(np.abs(theta))) if theta.size else 0.0
@@ -377,34 +356,43 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
                     f"parameters diverging (|theta| = {np.max(np.abs(theta)):.3e}); "
                     f"likelihood appears degenerate")
 
-    gfield = gamma[cells.ids]
-    loglik_obs = family.psi(panel.y, panel.x, theta, gfield)
-    info = curvature(theta, gfield, "not negative") / cells.size
+    fit = _fit_result(panel, spec, cells, theta, gamma, score_gamma, iterations)
+    info = np.abs(fit.info_gamma.ravel())
     floor = np.maximum(np.maximum(TOL, 8.0 * eps * cells.sum(np.abs(score_gamma))),
-                       4.0 * eps * np.maximum(1.0, np.abs(gamma)) * np.abs(info) * cells.size)
+                       4.0 * eps * np.maximum(1.0, np.abs(gamma)) * info * cells.size)
     off = np.abs(cells.sum(score_gamma)) > floor
     if off.any():
         raise NoConvergence(f"cell {cells.label(int(np.argmax(off)))} score above tolerance")
-
-    return FitResult(
-        theta=theta,
-        gamma=gamma.reshape(gmap.G, mmap.M),
-        loglik=float(loglik_obs.sum()),
-        loglik_obs=loglik_obs,
-        score_gamma=score_gamma,
-        info_gamma=info.reshape(gmap.G, mmap.M),
-        iterations=iterations,
-        spec=spec,
-    )
+    return fit
 
 
 def fit_model(panel: PanelData, spec: ModelSpec) -> FitResult:
-    """Fit a model spec, using the closed form where it is exact.
+    """Fit a model spec, in closed form for both shipped Gaussian families.
 
-    The unit-scale Gaussian family maximizes the same objective as
-    :func:`fit_linear_cells`, so it dispatches there; other families go
-    through :func:`fit_profile_mle`.  Either way the fit keeps ``spec``.
+    For ``gaussian_fixed_scale(K)`` and ``gaussian_full_scale(K)`` of the
+    panel's K (compared by ``==``, so a shipped family built for another K is
+    not one of them), beta and the cell effects are least squares by
+    within-cell demeaning, and the full-scale family's scale is its profile
+    MLE RSS / (nT) (``SingularInformation`` if RSS = 0); ``iterations`` is 0.
+    Other families go through :func:`fit_profile_mle`.  The fit keeps ``spec``.
     """
-    if spec.family.name == "gaussian-fixed-scale":
-        return replace(fit_linear_cells(panel, spec.gmap, spec.time_map(panel.T)), spec=spec)
-    return fit_profile_mle(panel, spec)
+    fixed = spec.family == gaussian_fixed_scale(panel.K)
+    if not fixed and spec.family != gaussian_full_scale(panel.K):
+        return fit_profile_mle(panel, spec)
+    cells = _Cells(panel, spec.gmap, spec.time_map(panel.T))
+    if panel.K:
+        xm = np.stack([cells.mean(panel.x[:, :, k]) for k in range(panel.K)], axis=1)
+        theta = _within_theta(panel.x - xm[cells.ids], panel.y)
+        work = panel.y - linear_index(panel.x, theta)
+    else:
+        theta = np.zeros(0)
+        work = panel.y
+    gamma = cells.mean(work)
+    resid = work - gamma[cells.ids]
+    if fixed:
+        return _fit_result(panel, spec, cells, theta, gamma, resid, 0)
+    s2 = float(np.sum(resid ** 2)) / resid.size
+    if s2 == 0.0:
+        raise SingularInformation("the cells fit the panel exactly (RSS = 0), so the "
+                                  "scale estimate s^2 = RSS / (nT) is 0")
+    return _fit_result(panel, spec, cells, np.append(theta, s2), gamma, resid / s2, 0)

@@ -5,11 +5,14 @@ scalar group effect (first and second order) plus the gradient in the common
 parameters.  All callables are vectorized: ``y`` and ``gamma`` broadcast,
 ``x`` carries a trailing covariate axis, and ``psi_theta`` returns a trailing
 axis of length ``d_theta``.  Custom families register by constructing the
-dataclass; there is no automatic differentiation.
+dataclass; there is no automatic differentiation.  Each shipped constructor
+builds one object per K, so ``==`` (name, d_theta and the four callables)
+tells a shipped family from any other.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,9 +39,19 @@ class LikelihoodFamily:
     dof_rescaled: bool = field(default=False, compare=False)
 
 
-def gaussian_fixed_scale(n_covariates: int) -> LikelihoodFamily:
+def _one_per_k(make):
+    """``make`` built once per int(K), so equal K give one family object."""
+    cached = functools.cache(make)
+
+    @functools.wraps(make)
+    def shipped(n_covariates: int, /) -> LikelihoodFamily:
+        return cached(int(n_covariates))
+    return shipped
+
+
+@_one_per_k
+def gaussian_fixed_scale(K: int, /) -> LikelihoodFamily:
     """psi = -(y - x'theta - gamma)^2 / 2; unit scale."""
-    K = int(n_covariates)
 
     def resid(y, x, theta, gamma):
         return y - (linear_index(x, theta) if K else 0.0) - gamma
@@ -55,20 +68,17 @@ def gaussian_fixed_scale(n_covariates: int) -> LikelihoodFamily:
     def psi_gammagamma(y, x, theta, gamma):
         return np.full(np.shape(y), -1.0)
 
-    def init_theta(panel: PanelData) -> np.ndarray:
-        return _pooled_ols(panel)
-
     def working_residual(y, x, theta):
         return y - (linear_index(x, theta) if K else 0.0)
 
     return LikelihoodFamily("gaussian-fixed-scale", K, psi, psi_theta,
-                            psi_gamma, psi_gammagamma, init_theta, working_residual,
+                            psi_gamma, psi_gammagamma, _pooled_ols, working_residual,
                             dof_rescaled=True)
 
 
-def gaussian_full_scale(n_covariates: int) -> LikelihoodFamily:
+@_one_per_k
+def gaussian_full_scale(K: int, /) -> LikelihoodFamily:
     """psi = -log(s2)/2 - (y - x'beta - gamma)^2 / (2 s2), theta = (beta, s2)."""
-    K = int(n_covariates)
 
     def split(theta):
         s2 = float(theta[-1])

@@ -9,6 +9,7 @@ share between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,7 @@ class TimeGroupMap:
         return self.codes.size
 
 
+@functools.cache
 def single_block(T: int) -> TimeGroupMap:
-    """All periods in one block (M = 1)."""
+    """All periods in one block (M = 1); one frozen map per T."""
     return TimeGroupMap(codes=np.zeros(T, dtype=np.int64), M=1)

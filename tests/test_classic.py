@@ -12,13 +12,14 @@ from conftest import blocks_from_sizes, pooled_groups, random_groups, random_pan
 from oracles import (bias_correction, mqlr_classic, s2_gamma_unit,
                      sigma2_cross_unit, sigma2_gamma_unit, variance_components,
                      variance_u_regrouped)
-from panelvuong import (ModelSpec, classic_components, fit_model, fit_profile_mle,
-                        gaussian_fixed_scale, gaussian_full_scale,
-                        individual_groups, make_panel, run_classic_test)
+from panelvuong import (DgpConfig, LikelihoodFamily, ModelSpec, classic_components,
+                        fit_model, fit_profile_mle, gaussian_fixed_scale,
+                        gaussian_full_scale, generate, individual_groups, make_panel,
+                        run_classic_test)
 from panelvuong.classic import MAX_RULE_NOTE, NESTED_NOTE, dof_factor, omega2_hybrid
 from panelvuong import normal_quantile
 from panelvuong.cli import main
-from panelvuong.errors import GroupingViolation, TooSmall
+from panelvuong.errors import DomainError, GroupingViolation, TooSmall
 from panelvuong.panel import GroupMap
 from test_cli import write_panel_csv
 
@@ -434,7 +435,47 @@ class TestNestedVariance:
         spec = ModelSpec(family, random_groups(rng, n, 4))
         fit = fit_model(panel, spec)
         assert fit.spec is spec
+        assert fit.iterations == 0   # the closed form: profile-Newton takes a step
         assert dof_factor(fit) == dof_factor(fit_profile_mle(panel, spec)) == 1.0
+        fit_1 = fit_model(panel, ModelSpec(gaussian_fixed_scale(1), individual_groups(n)))
+        assert classic_components(fit_1, fit).nested
+
+    def test_custom_families_sharing_a_name_keep_max_rule(self, rng):
+        # two different likelihoods under one name and d_theta: the name does
+        # not make them one family, so nothing certifies the nesting
+        def gaussian(scale):
+            def psi(y, x, theta, gamma):
+                return -0.5 * (y - x[..., 0] * theta[0] - gamma) ** 2 / scale
+
+            def psi_theta(y, x, theta, gamma):
+                return x * ((y - x[..., 0] * theta[0] - gamma) / scale)[..., None]
+
+            def psi_gamma(y, x, theta, gamma):
+                return (y - x[..., 0] * theta[0] - gamma) / scale
+
+            def psi_gammagamma(y, x, theta, gamma):
+                return np.full(np.shape(y), -1.0 / scale)
+            return LikelihoodFamily("gaussian", 1, psi, psi_theta, psi_gamma, psi_gammagamma)
+
+        n, T = 16, 10
+        panel = random_panel(rng, n, T, 1)
+        spec1 = ModelSpec(gaussian(1.0), individual_groups(n))
+        spec2 = ModelSpec(gaussian(2.0), random_groups(rng, n, 4))
+        report = run_classic_test(panel, spec1, spec2)
+        comp = report.components
+        assert not comp.nested
+        assert comp.omega2 == omega2_hybrid(comp.sigma2_nt, comp.sigma2_u, comp.sigma2_s)
+        assert NESTED_NOTE not in report.warnings
+
+    def test_shipped_family_of_another_k_rejected(self, rng):
+        # gaussian_fixed_scale(2) on a K = 1 panel would otherwise be fitted
+        # with one slope and take the dof factor of two
+        panel = random_panel(rng, 8, 6, 1)
+        family = gaussian_fixed_scale(2)
+        spec1 = ModelSpec(family, individual_groups(8))
+        spec2 = ModelSpec(family, random_groups(rng, 8, 2))
+        with pytest.raises(DomainError, match=r"shape \(1,\), expected \(2,\)"):
+            run_classic_test(panel, spec1, spec2)
 
     def test_identical_specs_with_covariates_degenerate(self, rng):
         # identical specs get identical dof factors, so the statistic and
@@ -473,3 +514,38 @@ class TestNestedVariance:
         assert doc["test"]["omega2_hat"] == comp["sigma2_u"]
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+    def test_cli_full_scale_where_profile_newton_diverges(self, tmp_path, capsys):
+        # kind C, seed 1, rep 0 at n=T=100: profile-Newton diverges on model 1
+        # (ROADMAP D1), the closed form does not
+        config = DgpConfig(kind="C", n=100, T=100, G=10, K=1, master_seed=1)
+        panel, gmap = generate(config, 0)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, panel.y, panel.x, groups=[f"g{c}" for c in gmap.codes])
+        assert main(["test", "classic", "--input", str(path), "--x-cols", "x1",
+                     "--model2-group-col", "region", "--model1-family", "gaussian-full-scale",
+                     "--model2-family", "gaussian-full-scale"]) == 0
+        family = gaussian_full_scale(1)
+        expected = run_classic_test(panel, ModelSpec(family, individual_groups(100)),
+                                    ModelSpec(family, gmap))
+        assert json.loads(capsys.readouterr().out)["test"]["statistic"] == expected.statistic
+
+
+class TestFullScaleCentering:
+    def test_mean_numerator_within_three_se(self):
+        # the bias-corrected numerator mqlr * sqrt(nT) of the full-scale
+        # family, with dof factor 1, is centered on the kind-C null: every
+        # replication is fitted (the closed form never diverges), and the
+        # seed, R and bound were fixed before the first run
+        n, R = 50, 3000
+        config = DgpConfig(kind="C", n=n, T=n, G=10, K=1, master_seed=778)
+        family = gaussian_full_scale(1)
+        spec_1 = ModelSpec(family, individual_groups(n))
+        numerators = np.empty(R)
+        for rep in range(R):
+            panel, gmap = generate(config, rep)
+            report = run_classic_test(panel, spec_1, ModelSpec(family, gmap))
+            numerators[rep] = report.components.mqlr * np.sqrt(n * n)
+        mean, se = numerators.mean(), numerators.std(ddof=1) / np.sqrt(R)
+        assert abs(mean) <= 3.0 * se, f"mean {mean:+.4f}, se {se:.4f}"

@@ -11,9 +11,9 @@ from conftest import (blocks_from_sizes, dummy_ols_cells, dummy_ols_twfe, pooled
                       random_groups, random_panel)
 from oracles import foc_residuals
 from panelvuong import estimation
-from panelvuong import (LikelihoodFamily, ModelSpec, TimeGroupMap, block_groups,
-                        fit_grouped_time, fit_linear_cells, fit_profile_mle,
-                        fit_twfe, gaussian_fixed_scale, gaussian_full_scale,
+from panelvuong import (DgpConfig, LikelihoodFamily, ModelSpec, TimeGroupMap, block_groups,
+                        fit_grouped_time, fit_linear_cells, fit_model, fit_profile_mle,
+                        fit_twfe, gaussian_fixed_scale, gaussian_full_scale, generate,
                         individual_groups, make_panel, run_twfe_test)
 from panelvuong.errors import (DomainError, GroupingViolation, NoConvergence,
                                RankDeficient, SingularInformation)
@@ -287,6 +287,100 @@ class TestProfileFailures:
         spec = ModelSpec(gaussian_fixed_scale(1), block_groups(20, 4))
         with pytest.raises(NoConvergence, match="no improving step after 0 halvings"):
             fit_profile_mle(random_panel(rng, 20, 8, 1), spec)
+
+
+def kind_c_panel(rep):
+    """Replication ``rep`` of the kind-C null at n=T=100, G=10, K=1, seed 1."""
+    return generate(DgpConfig(kind="C", n=100, T=100, G=10, K=1, master_seed=1), rep)
+
+
+def rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)) / np.abs(np.asarray(b))))
+
+
+class TestFitModel:
+    """fit_model: both shipped Gaussian families in closed form, chosen by
+    family identity; every other family by profile-Newton."""
+
+    @pytest.fixture
+    def no_profile(self, monkeypatch):
+        def refuse(panel, spec):
+            raise AssertionError("fit_model called fit_profile_mle")
+        monkeypatch.setattr(estimation, "fit_profile_mle", refuse)
+
+    @pytest.mark.parametrize("K", [0, 1, 2])
+    @pytest.mark.parametrize("blocks", [None, [3, 4]], ids=["M1", "M2"])
+    @pytest.mark.parametrize("maker", [gaussian_fixed_scale, gaussian_full_scale])
+    def test_shipped_families_take_the_closed_form(self, rng, no_profile, maker, blocks, K):
+        panel = random_panel(rng, 10, 7, K)
+        mmap = None if blocks is None else blocks_from_sizes(blocks)
+        fit = fit_model(panel, ModelSpec(maker(K), random_groups(rng, 10, 3), mmap))
+        assert fit.iterations == 0
+        assert fit.theta.shape == (maker(K).d_theta,)
+
+    @pytest.mark.parametrize("K, blocks", [(0, None), (1, None), (2, [3, 4]), (1, [2, 2, 3])])
+    def test_full_scale_matches_profile_newton(self, rng, K, blocks):
+        # the closed form's first-order conditions hold to rounding, while
+        # profile-Newton stops once its theta score is below TOL = 1e-10: on
+        # 70 observations that leaves its theta up to ~1e-12 relative off
+        # (1.1e-12 with three time blocks), so theta is compared at 1e-10
+        panel = random_panel(rng, 10, 7, K)
+        mmap = None if blocks is None else blocks_from_sizes(blocks)
+        spec = ModelSpec(gaussian_full_scale(K), random_groups(rng, 10, 3), mmap)
+        closed, profiled = fit_model(panel, spec), fit_profile_mle(panel, spec)
+        assert max(foc_residuals(panel, closed)) < 1e-12
+        assert rel(closed.theta, profiled.theta) < 1e-10
+        assert rel(closed.loglik, profiled.loglik) < 1e-12
+
+    @pytest.mark.parametrize("rep", [2, 3])
+    def test_full_scale_on_kind_c(self, rep):
+        # profile-Newton converges on both models of these replications
+        panel, gmap = kind_c_panel(rep)
+        for g in (individual_groups(100), gmap):
+            spec = ModelSpec(gaussian_full_scale(1), g)
+            closed, profiled = fit_model(panel, spec), fit_profile_mle(panel, spec)
+            assert rel(closed.theta, profiled.theta) < 1e-12
+            assert rel(closed.loglik, profiled.loglik) < 1e-12
+
+    def test_full_scale_where_profile_newton_diverges(self):
+        # rep 0, individual effects: profile-Newton escapes to infinity
+        # (ROADMAP D1); the closed form answers with beta of the unit-scale
+        # fit, s^2 = RSS / (nT) and first-order conditions at rounding level
+        panel, _ = kind_c_panel(0)
+        spec = ModelSpec(gaussian_full_scale(1), individual_groups(100))
+        with pytest.raises(SingularInformation, match="parameters diverging"):
+            fit_profile_mle(panel, spec)
+        fit = fit_model(panel, spec)
+        fixed = fit_linear_cells(panel, individual_groups(100))
+        assert fit.theta[0] == fixed.theta[0]
+        assert fit.theta[1] == np.sum(fixed.score_gamma ** 2) / (100 * 100)
+        assert np.allclose(fit.info_gamma, -1.0 / fit.theta[1], rtol=1e-14, atol=0.0)
+        t_norm, c_norm = foc_residuals(panel, fit)
+        assert t_norm < 1e-9 and c_norm < 1e-9
+
+    def test_exactly_fitted_panel_raises(self):
+        panel = make_panel(np.outer(np.arange(4.0), np.ones(4)))
+        spec = ModelSpec(gaussian_full_scale(0), individual_groups(4))
+        with pytest.raises(SingularInformation, match="RSS = 0"):
+            fit_model(panel, spec)
+
+    def test_custom_family_named_like_a_shipped_one_takes_profile_newton(self):
+        # the Poisson-type family under the fixed-scale Gaussian's name: least
+        # squares would report -45.6, the Poisson profile maximum is 17.5
+        family = dataclasses.replace(poisson_family(0), name="gaussian-fixed-scale")
+        panel = make_panel(np.random.default_rng(0).poisson(3, size=(6, 5)).astype(float))
+        spec = ModelSpec(family, individual_groups(6))
+        fit = fit_model(panel, spec)
+        assert fit.loglik == fit_profile_mle(panel, spec).loglik
+        assert fit.loglik == pytest.approx(17.4897, abs=1e-4)
+        assert fit_linear_cells(panel, individual_groups(6)).loglik == pytest.approx(-45.6)
+
+    def test_shipped_family_of_another_k_takes_profile_newton(self, rng):
+        # gaussian_fixed_scale(2) on a K = 1 panel is not the panel's family:
+        # profile-Newton refuses its one-entry start for d_theta = 2
+        spec = ModelSpec(gaussian_fixed_scale(2), individual_groups(8))
+        with pytest.raises(DomainError, match=r"shape \(1,\), expected \(2,\)"):
+            fit_model(random_panel(rng, 8, 6, 1), spec)
 
 
 def scalar_profile_mle(panel, spec, tol=1e-10, max_iter=100, inner_tol=1e-12,

@@ -102,3 +102,23 @@ class TestCheckDerivatives:
         fam = gaussian_fixed_scale(0)
         pts = [(1.0, NO_X, np.zeros(0), 1.0)] * 5
         assert check_derivatives(fam, pts) < 1e-9
+
+
+class TestShippedFamilyIdentity:
+    """One object per K, so fit_model and the nesting rule compare families
+    with ==, never by name."""
+
+    @pytest.mark.parametrize("maker", [gaussian_fixed_scale, gaussian_full_scale])
+    def test_one_object_per_k(self, maker):
+        assert maker(1) is maker(1)
+        assert maker(1) == maker(np.int64(1))
+        assert maker(1) != maker(2)
+
+    @pytest.mark.parametrize("maker", [gaussian_fixed_scale, gaussian_full_scale])
+    def test_keyword_call_refused(self, maker):
+        # a keyword call would be a second cache key, hence a second family
+        with pytest.raises(TypeError):
+            maker(n_covariates=1)
+
+    def test_the_two_families_differ(self):
+        assert gaussian_fixed_scale(1) != gaussian_full_scale(0)

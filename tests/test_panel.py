@@ -149,6 +149,8 @@ class TestTimeGroupMap:
         m = single_block(4)
         assert m.M == 1
         assert np.bincount(m.codes).tolist() == [4]
+        assert single_block(4) is m   # one frozen map per T, shared by every fit
+        assert not m.codes.flags.writeable
 
     def test_blocks_from_sizes(self):
         m = blocks_from_sizes([2, 3])
