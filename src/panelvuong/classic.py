@@ -232,7 +232,8 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
     r_2 = b * _bias(raw[1], fit_2)
     mqlr = float(((fit_1.loglik - r_1) - (fit_2.loglik - r_2)) / np.sqrt(n * T))
     dpsi = fit_1.loglik_obs - fit_2.loglik_obs
-    sigma2_nt = float((dpsi ** 2).sum() / (n * T) - mqlr ** 2 / (n * T))
+    # a numpy square overflows to inf (refused by decide) where a float's raises
+    sigma2_nt = float((dpsi ** 2).sum() / (n * T) - np.float64(mqlr) ** 2 / (n * T))
     sigma2_u, sigma2_s = _u_and_s(v1, v2, s2, c12, fit_2)
     # model 2 is model 1 with its unit effects restricted within groups
     # when both fits use one family (equal by ==, see panelvuong.families)

@@ -128,8 +128,9 @@ class GroupMap:
         return np.bincount(self.codes, minlength=self.G)
 
 
+@functools.cache
 def individual_groups(n: int) -> GroupMap:
-    """One group per unit (G = n)."""
+    """One group per unit (G = n); one frozen map per n."""
     return GroupMap(codes=np.arange(n), G=n)
 
 

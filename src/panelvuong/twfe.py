@@ -157,7 +157,8 @@ def twfe_components(fit_1: GroupedTimeFit, fit_2: TwfeFit) -> TwfeTestComponents
     bias = bias_hat(c1, c2, gmap, T)
     mqlr = qlr - bias
     d = e2 ** 2 - e1 ** 2
-    sigma2_nt = float((d ** 2).sum() / (4.0 * n * T) - mqlr ** 2 / (n * T))
+    # a numpy square overflows to inf (refused by decide) where a float's raises
+    sigma2_nt = float((d ** 2).sum() / (4.0 * n * T) - np.float64(mqlr) ** 2 / (n * T))
     sigma2_u = _sigma2_u(c1, c2, c12, gmap, T)
     sigma2_u_raw = _sigma2_u(raw1, raw2, raw12, gmap, T)
     omega2 = omega2_twfe(sigma2_nt, sigma2_u)

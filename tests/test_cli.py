@@ -360,6 +360,22 @@ class TestCmdTest:
         assert err.startswith("error: field larger than field limit")
         assert err.endswith("(row 2)\n")
 
+    @pytest.mark.parametrize("test", ["twfe", "classic"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_huge_outcome_exit_1(self, tmp_path, rng, capsys, test):
+        # |mqlr| > 1e154: its square overflows to inf, which decide refuses,
+        # instead of raising OverflowError out of the components
+        y = rng.normal(size=(6, 5)) * 1e100
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, y, groups=["g1", "g1", "g1", "g2", "g2", "g2"])
+        flag = "--group-col" if test == "twfe" else "--model2-group-col"
+        code = main(["test", test, "--input", str(path), flag, "region"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {test} statistic is not finite: mqlr=")
+        assert "Traceback" not in err
+
     def test_schema_json_flag(self, tmp_path, rng, capsys):
         # the column flags name the unit, time and outcome columns
         y = rng.normal(size=(4, 3))

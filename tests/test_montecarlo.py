@@ -1,6 +1,12 @@
 """DGP determinism and the replication engine."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +164,26 @@ class TestRunReplications:
         mc = run_replications(cfg(kind="C", n=15, T=10, G=3), reps=5)
         assert mc.config.test == "classic"
         assert all(not r.failed for r in mc.records)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mmap and heap-trim thresholds are glibc's")
+    def test_replications_do_not_fault_memory_in(self):
+        # a fresh process, as earlier tests may have moved this one's thresholds;
+        # without the campaign's threshold block a rep here took about 85 faults
+        script = textwrap.dedent("""
+            import resource
+            from panelvuong import DgpConfig, run_replications
+            config = DgpConfig(kind="C", n=100, T=100, G=10, K=1, master_seed=1)
+            run_replications(config, reps=2)          # warm-up
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_replications(config, reps=10)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+        """)
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert float(out) < 5.0, out
 
 
 class TestSummarize:

@@ -1,13 +1,17 @@
 """The package's public namespace."""
 
+import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import panelvuong
+import panelvuong.cli  # noqa: F401  (the CLI's names are wrap points too)
 from panelvuong import estimation
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_lists_public_names_only():
@@ -31,3 +35,16 @@ def test_readme_states_the_solver_budgets():
         stated = re.findall(rf"`{name} = ([^`]+)`", readme)
         assert stated, name
         assert [float(v) for v in stated] == [getattr(estimation, name)] * len(stated), name
+
+
+def test_every_benchmark_wrap_point_resolves():
+    # perfbench drops every metric of a layer whose wrapped names are all gone,
+    # so a renamed or bypassed function would silently empty a traced run
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    listing, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["WRAP_POINTS"]]
+    points = [(point.elts[1].value, point.elts[2].value) for point in listing.elts]
+    assert len(points) >= 20
+    missing = [(module, attr) for module, attr in points
+               if not callable(getattr(sys.modules.get(module), attr, None))]
+    assert not missing

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import blocks_from_sizes, pooled_groups, random_groups
 from panelvuong import GroupMap, PanelData, TimeGroupMap, individual_groups, make_panel
 from panelvuong.errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
+from panelvuong.montecarlo import block_groups
 from panelvuong.panel import groups_from_labels, linear_index, single_block
 
 
@@ -142,6 +143,17 @@ class TestGroupPartition:
         gmap, order = groups_from_labels(["b", "a", "b", "c"])
         assert gmap.codes.tolist() == [0, 1, 0, 2]
         assert order == {"b": 0, "a": 1, "c": 2}
+
+    def test_individual_groups(self):
+        m = individual_groups(5)
+        assert m.codes.tolist() == list(range(5))
+        assert individual_groups(5) is m   # one frozen map per n, shared by every rep
+        assert not m.codes.flags.writeable
+
+    def test_block_groups(self):
+        m = block_groups(10, 3)
+        assert block_groups(10, 3) is m    # one frozen map per (n, G), shared by every rep
+        assert not m.codes.flags.writeable
 
 
 class TestTimeGroupMap:
