@@ -80,13 +80,39 @@ GOLDEN_NORMALS = {
 }
 GOLDEN_QUANTILE = "3a3b7ca7aacfb756cd0e7362a289810f8a12b42df4a11f1a079179cc871e567b"
 GOLDEN_CDF = "15288119e5b0d537ae068ac7e3eabb9fe217459b3c1c68b940bce07d4f3839b3"
+# Campaign pins: n=20, T=10, G=4, 20 reps, seed 11, levels 0.05 and 0.1.  Each
+# id names the kind, K (1 unless marked) and any signal; together they cover
+# every stream layout that generate() reads: K = 0 (no covariates stream), 1
+# and 2, the interaction stream (B, E) and the unit_deviations stream (D).
 GOLDEN_CAMPAIGNS = {
-    "A": ("145210234329cd9b4ae4201db984fab09ce0da28eda3edb9a2af2edcd260fca7",
+    "A": (("--kind", "A"),
+          "145210234329cd9b4ae4201db984fab09ce0da28eda3edb9a2af2edcd260fca7",
           "d7eb37aa1f9413b7ccd03a1298ea63dc3bd2d911896bddb35986dd4ed9e9b76e"),
-    "C": ("0a7cc9d1957f0a90332026e5b62ec209f9f8b343b6accdf3f75d5f7f1018a639",
+    "C": (("--kind", "C"),
+          "0a7cc9d1957f0a90332026e5b62ec209f9f8b343b6accdf3f75d5f7f1018a639",
           "8ee5d29d19d07de86c60ad1a9cdfa8b1c42ff1f60d46e9ba0d56166b78eead90"),
+    "B-kappa0.7": (("--kind", "B", "--kappa", "0.7"),
+                   "0dab8c6f87af991f9c3453f8449e9d8145ea70684dc8a6249db35d8b50375823",
+                   "3041eb73e6d7ea5fa8b715ec18ff9172adf3eafef727eb90ff83b2e3d85d8fb7"),
+    "D-kappa0.7": (("--kind", "D", "--kappa", "0.7"),
+                   "6fd07f4cc4760ec41adf673dbe77c54fcce4e826e7816372fa4ce4382fdc0012",
+                   "bcd3b1d95071176fd6e2f9d68ecac473693af114ea9fd4548dc031e486fa1ddd"),
+    "E-c2": (("--kind", "E", "--c", "2"),
+             "8a30f51a12a2bec73c5f8372edd6a9c0d5b6893eae8158d2ca5a21584daee148",
+             "3d048f6368ec1480fdf1254475e4f657434cd5d44ebc5816db05ffb5d08002b5"),
+    "A-K0": (("--kind", "A", "--K", "0"),
+             "145210234329cd9b4ae4201db984fab09ce0da28eda3edb9a2af2edcd260fca7",
+             "fe05473489ca0a165949bbb6145fe5b7246add014890bdc98336954420bd8744"),
+    "C-K0": (("--kind", "C", "--K", "0"),
+             "0a7cc9d1957f0a90332026e5b62ec209f9f8b343b6accdf3f75d5f7f1018a639",
+             "b8eaf50344e3b8b67df02039bc37b000056195024f6d8473c54ee1ace29aaa6f"),
+    "A-K2": (("--kind", "A", "--K", "2"),
+             "1bfaa597318e598af8f1fff2a13f8796d969f1a01e113b254a242bcbb0223d14",
+             "bdf1a1d119e22cf06f6f23e09bae71c4edf5d76a863d94ece307c2ea26a43c51"),
+    "C-K2": (("--kind", "C", "--K", "2"),
+             "0a7cc9d1957f0a90332026e5b62ec209f9f8b343b6accdf3f75d5f7f1018a639",
+             "8f744f5afebcc5f33a27a898de632c7cf4c6d43bc9c1f34ab9a798a636f92ffe"),
 }
-
 
 class TestGoldenBits:
     """Outputs pinned bit for bit across implementations, not only reruns."""
@@ -103,11 +129,12 @@ class TestGoldenBits:
     def test_normal_cdf_grid(self):
         assert _digest(normal_cdf(_cdf_grid())) == GOLDEN_CDF
 
-    @pytest.mark.parametrize("kind", list(GOLDEN_CAMPAIGNS))
-    def test_campaign_bytes(self, kind, tmp_path):
-        assert main(["simulate", "--kind", kind, "--n", "20", "--T", "10",
-                     "--G", "4", "--K", "1", "--reps", "20", "--seed", "11",
-                     "--levels", "0.05,0.1", "--out-dir", str(tmp_path)]) == 0
-        digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                        for f in ("size_power.csv", "replications.jsonl"))
-        assert digests == GOLDEN_CAMPAIGNS[kind]
+    @pytest.mark.parametrize("case", list(GOLDEN_CAMPAIGNS))
+    def test_campaign_bytes(self, case, tmp_path):
+        args, *expected = GOLDEN_CAMPAIGNS[case]
+        assert main(["simulate", "--n", "20", "--T", "10", "--G", "4", "--K", "1",
+                     *args, "--reps", "20", "--seed", "11", "--levels", "0.05,0.1",
+                     "--out-dir", str(tmp_path)]) == 0
+        digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                   for f in ("size_power.csv", "replications.jsonl")]
+        assert digests == expected
