@@ -181,15 +181,19 @@ def cmd_test(args) -> int:
     panel, gmaps, label_maps = load_csv(args.input, schema)
     digest = file_digest(args.input)
 
-    if args.subcommand == "twfe":
-        from .twfe import run_twfe_test
-        report = run_twfe_test(panel, gmaps[group_col], level=args.level)
-    else:
-        from .classic import run_classic_test
-        # model 1 has one effect per unit, as the classic test requires
-        spec_1 = ModelSpec(FAMILIES[args.model1_family](panel.K), individual_groups(panel.n))
-        spec_2 = ModelSpec(FAMILIES[args.model2_family](panel.K), gmaps[group_col])
-        report = run_classic_test(panel, spec_1, spec_2, level=args.level)
+    # A y of huge scale overflows to inf or NaN on its way to the statistic,
+    # which decide refuses with NonFinite: one error line, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.subcommand == "twfe":
+            from .twfe import run_twfe_test
+            report = run_twfe_test(panel, gmaps[group_col], level=args.level)
+        else:
+            from .classic import run_classic_test
+            # model 1 has one effect per unit, as the classic test requires
+            spec_1 = ModelSpec(FAMILIES[args.model1_family](panel.K),
+                               individual_groups(panel.n))
+            spec_2 = ModelSpec(FAMILIES[args.model2_family](panel.K), gmaps[group_col])
+            report = run_classic_test(panel, spec_1, spec_2, level=args.level)
 
     _write_report(report, args, digest=digest, label_maps=label_maps)
     return 2 if report.degenerate else 0

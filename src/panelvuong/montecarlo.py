@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -116,34 +117,47 @@ def block_groups(n: int, G: int) -> GroupMap:
 
 
 def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap]:
-    """One replication's panel and its group map."""
-    n, T, K = config.n, config.T, config.K
-    gmap = block_groups(n, config.G)
-    beta = np.ones(K)
+    """One replication's panel and its group map.
 
-    eps = config.noise * normals(stream(config.master_seed, rep_index, "noise"), (n, T))
-    x = normals(stream(config.master_seed, rep_index, "covariates"), (n, T, K)) \
-        if K else np.zeros((n, T, 0))
-    a = normals(stream(config.master_seed, rep_index, "group_effects"), config.G)
-
+    Every stream the kind reads goes through one :func:`normals` call, so one
+    quantile pass serves the whole replication; each stream's draws are a
+    view of that one flat array."""
+    n, T, G, K = config.n, config.T, config.G, config.K
+    gmap = block_groups(n, G)
     signal = config.signal
-    y = (linear_index(x, beta) if K else 0.0) + eps
+    twoway = config.kind in ("A", "B", "E")
 
-    if config.kind in ("A", "B", "E"):
-        b = normals(stream(config.master_seed, rep_index, "time_effects"), T)
-        y = y + a[gmap.codes][:, None] + b[None, :]
+    shapes = {"noise": (n, T), "group_effects": (G,)}
+    if K:
+        shapes["covariates"] = (n, T, K)
+    if twoway:
+        shapes["time_effects"] = (T,)
         if signal > 0.0:
-            eta = normals(stream(config.master_seed, rep_index, "interaction"),
-                          (config.G, T))
-            y = y + signal * eta[gmap.codes]
+            shapes["interaction"] = (G, T)
+    elif signal > 0.0:
+        shapes["unit_deviations"] = (n,)
+    counts = [math.prod(shape) for shape in shapes.values()]
+    flat = normals([stream(config.master_seed, rep_index, name) for name in shapes],
+                   counts)
+    draws, start = {}, 0
+    for (name, shape), count in zip(shapes.items(), counts):
+        draws[name] = flat[start:start + count].reshape(shape)
+        start += count
+
+    x = draws["covariates"] if K else None
+    y = (linear_index(x, np.ones(K)) if K else 0.0) + config.noise * draws["noise"]
+    a = draws["group_effects"]
+    if twoway:
+        y = y + a[gmap.codes][:, None] + draws["time_effects"][None, :]
+        if signal > 0.0:
+            y = y + signal * draws["interaction"][gmap.codes]
     else:  # kinds C, D: time-invariant unit effects
         alpha = a[gmap.codes]
         if signal > 0.0:
-            u = normals(stream(config.master_seed, rep_index, "unit_deviations"), n)
-            alpha = alpha + signal * u
+            alpha = alpha + signal * draws["unit_deviations"]
         y = y + alpha[:, None]
 
-    return make_panel(y, x if K else None), gmap
+    return make_panel(y, x), gmap
 
 
 @dataclass

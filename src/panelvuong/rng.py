@@ -3,6 +3,9 @@
 Each replication draws from Philox streams addressed by a fixed integer
 triple, so results never depend on execution order.  Normal variates go
 through the package's own inverse CDF, so draws are identical across reruns.
+:func:`normals` serves one stream or several: a replication hands it every
+stream it reads and gets their draws from one quantile pass, bit for bit the
+draws each stream would give alone.
 ``tests/test_rng.py`` pins their digests on x86-64 with numpy 2.4; ``np.log``
 may round differently on other CPUs or numpy builds and move a tail draw by an
 ulp.
@@ -43,6 +46,16 @@ def uniforms_open(gen: np.random.Generator, size) -> np.ndarray:
     return gen.integers(1, _TWO53, size=size).astype(float) / _TWO53
 
 
-def normals(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard-normal draws via the shared inverse CDF."""
-    return normal_quantile(uniforms_open(gen, size))
+def normals(gen, size) -> np.ndarray:
+    """Standard-normal draws via the shared inverse CDF.
+
+    ``normals(gen, shape)`` draws one stream into an array of that shape.
+    ``normals(gens, counts)`` draws ``counts[i]`` uniforms from each
+    ``gens[i]`` and returns every stream's draws, in order, as one flat array
+    from a single quantile pass.  The quantile works elementwise, so that
+    array is bit for bit the concatenation of the one-stream draws.
+    """
+    if isinstance(gen, np.random.Generator):
+        return normal_quantile(uniforms_open(gen, size))
+    return normal_quantile(np.concatenate(
+        [uniforms_open(g, count) for g, count in zip(gen, size, strict=True)]))

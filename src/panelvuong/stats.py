@@ -4,10 +4,12 @@ The quantile is Wichura's AS241 (Applied Statistics 37, 1988; the algorithm
 behind Python's ``statistics.NormalDist.inv_cdf``): one degree-7/7 rational
 function per regime, no CDF call and no refinement step, relative error below
 1e-15 down to q = 1e-300 and up to 1 - 2**-53.  It is the only function here
-that normal draws go through; its inputs are raveled and the rationals are
-evaluated in place, so every result keeps a fixed per-element order of
-operations (``tests/test_rng.py`` pins digests of draws, quantiles and
-campaigns).
+that normal draws go through, once per Monte Carlo replication on the
+concatenated uniforms of every stream the replication reads
+(``rng.normals``).  Its inputs are raveled and the rationals are evaluated in
+place, so every result keeps a fixed per-element order of operations and does
+not depend on which other values share the call (``tests/test_rng.py`` pins
+digests of draws, quantiles and campaigns).
 
 The CDF is the standard library's ``math.erfc`` applied elementwise; it
 serves KS distances and the local-power curve, and ``report.decide`` takes

@@ -15,7 +15,7 @@ from oracles import local_power_curve
 from panelvuong import (DgpConfig, ModelSpec, gaussian_fixed_scale, generate,
                         individual_groups, run_classic_test, run_replications,
                         run_twfe_test, summarize)
-from panelvuong import montecarlo
+from panelvuong import montecarlo, rng
 from panelvuong.errors import ConfigError, Empty, NoConvergence
 from panelvuong.montecarlo import (McResult, RepRecord, block_groups,
                                    replications_jsonl, size_power_csv)
@@ -113,6 +113,61 @@ class TestGenerate:
         panel, gmap = generate(cfg(n=9, T=7, G=4, K=2), 0)
         assert (panel.n, panel.T, panel.K) == (9, 7, 2)
         assert gmap.G == 4
+
+
+# Streams each kind reads besides noise, group_effects and (K > 0) covariates,
+# with the signal that switches on its interaction or unit_deviations stream.
+_KIND_STREAMS = {
+    "A": ({}, ("time_effects",)),
+    "B": ({"kappa": 0.7}, ("time_effects", "interaction")),
+    "C": ({}, ()),
+    "D": ({"kappa": 0.7}, ("unit_deviations",)),
+    "E": ({"c": 2.0}, ("time_effects", "interaction")),
+}
+
+
+class TestTracedDrawLayers:
+    """The benchmark times the draw layer through the names
+    montecarlo.stream, montecarlo.normals (whose result's size is the draw
+    count) and rng.normal_quantile; a replication must call each as counted
+    here, or its traced run loses the layer's metrics."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, calls):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("K", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(_KIND_STREAMS))
+    def test_one_quantile_pass_per_replication(self, monkeypatch, kind, K):
+        streams, quantiles, draws = [], [], []
+        self._count(monkeypatch, montecarlo, "stream", streams)
+        self._count(monkeypatch, montecarlo, "normals", draws)
+        self._count(monkeypatch, rng, "normal_quantile", quantiles)
+        signal, extra = _KIND_STREAMS[kind]
+        n, T, G = 100, 100, 10
+        generate(DgpConfig(kind=kind, n=n, T=T, G=G, K=K, master_seed=3, **signal), 2)
+
+        read = ["noise", "group_effects", *(["covariates"] if K else []), *extra]
+        assert sorted(args[2] for args, _ in streams) == sorted(read)
+        assert all(args[:2] == (3, 2) for args, _ in streams)
+        assert len(draws) == 1 and len(quantiles) == 1
+        sizes = {"noise": n * T, "covariates": n * T * K, "group_effects": G,
+                 "time_effects": T, "interaction": G * T, "unit_deviations": n}
+        assert draws[0][1].size == sum(sizes[name] for name in read)
+
+    @pytest.mark.parametrize("kind, count", [("A", 20110), ("C", 20010)])
+    def test_acceptance_shape_draw_count(self, monkeypatch, kind, count):
+        draws = []
+        self._count(monkeypatch, montecarlo, "normals", draws)
+        generate(DgpConfig(kind=kind, n=100, T=100, G=10, K=1), 0)
+        assert [out.size for _, out in draws] == [count]
 
 
 class TestRunReplications:

@@ -123,6 +123,16 @@ class TestGoldenBits:
         seed, rep, name, shape = key
         assert _digest(normals(stream(seed, rep, name), shape)) == GOLDEN_NORMALS[key]
 
+    def test_streams_in_one_call_are_the_one_stream_draws(self):
+        keys = list(GOLDEN_NORMALS)
+        counts = [int(np.prod(shape)) for *_, shape in keys]
+        flat = normals([stream(seed, rep, name) for seed, rep, name, _ in keys], counts)
+        alone = [normals(stream(seed, rep, name), shape) for seed, rep, name, shape in keys]
+        assert np.array_equal(flat, np.concatenate([z.ravel() for z in alone]))
+        parts = np.split(flat, np.cumsum(counts)[:-1])
+        assert [_digest(z.reshape(key[3])) for z, key in zip(parts, keys)] == \
+            list(GOLDEN_NORMALS.values())
+
     def test_normal_quantile_grid(self):
         assert _digest(normal_quantile(_quantile_grid())) == GOLDEN_QUANTILE
 
