@@ -190,8 +190,7 @@ def cmd_test(args) -> int:
         else:
             from .classic import run_classic_test
             # model 1 has one effect per unit, as the classic test requires
-            spec_1 = ModelSpec(FAMILIES[args.model1_family](panel.K),
-                               individual_groups(panel.n))
+            spec_1 = ModelSpec(FAMILIES[args.model1_family](panel.K), individual_groups(panel.n))
             spec_2 = ModelSpec(FAMILIES[args.model2_family](panel.K), gmaps[group_col])
             report = run_classic_test(panel, spec_1, spec_2, level=args.level)
 

@@ -117,11 +117,8 @@ def block_groups(n: int, G: int) -> GroupMap:
 
 
 def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap]:
-    """One replication's panel and its group map.
-
-    Every stream the kind reads goes through one :func:`normals` call, so one
-    quantile pass serves the whole replication; each stream's draws are a
-    view of that one flat array."""
+    """One replication's panel and its group map; one :func:`normals` call draws
+    every stream the kind reads, and each stream's draws are a view of its result."""
     n, T, G, K = config.n, config.T, config.G, config.K
     gmap = block_groups(n, G)
     signal = config.signal

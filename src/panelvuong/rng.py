@@ -3,9 +3,6 @@
 Each replication draws from Philox streams addressed by a fixed integer
 triple, so results never depend on execution order.  Normal variates go
 through the package's own inverse CDF, so draws are identical across reruns.
-:func:`normals` serves one stream or several: a replication hands it every
-stream it reads and gets their draws from one quantile pass, bit for bit the
-draws each stream would give alone.
 ``tests/test_rng.py`` pins their digests on x86-64 with numpy 2.4; ``np.log``
 may round differently on other CPUs or numpy builds and move a tail draw by an
 ulp.
