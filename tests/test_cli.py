@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import random
@@ -391,6 +392,44 @@ class TestCmdTest:
         assert list(doc["metadata"]["label_maps"]["units"]) == ["i0", "i1", "i2", "i3"]
         expected = run_twfe_test(make_panel(y), GroupMap(codes=[0, 0, 1, 1], G=2))
         assert doc["test"]["mqlr"] == expected.mqlr
+
+
+# sha256 of the JSON and the CSV report of `test` on the file `_pinned_panel`
+# writes; recorded before GroupMap derived G from its codes, so every report
+# value read from a group map (n, T, groups_model1/2) keeps its bytes
+GOLDEN_REPORTS = {
+    "twfe": (("twfe", "--group-col", "region"),
+             "22398d4bdc3f1ff83a5966b6c76358cd3eeda0323fe69e7a033a3588130ad17a",
+             "8e5b6a9014fd38a9585a7f4d8c912f42d9ae474790159bbb6ee7045999b11571"),
+    "classic-fixed-fixed": (("classic", "--model2-group-col", "region"),
+                            "c5a60047fb78aabb32b29157a2f36594d7a88798a4c4443411d5054d480324e7",
+                            "c73d07dc6ff983d3a99d679c09ed7e0fe1278eecb333013e9188e2508a70f0f6"),
+    "classic-full-fixed": (("classic", "--model1-family", "gaussian-full-scale",
+                            "--model2-group-col", "region"),
+                           "9dea525a27f643e61993e22eb79de502d869507bcd3d658d2b5ed76285bae840",
+                           "41cd532b338174b8ad72bc28c824c394ecaa7eb754a515dee9109e509fec1967"),
+}
+
+
+def _pinned_panel(path):
+    """An 8 x 5 panel with one covariate and two groups of four, from a fixed seed."""
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(8, 5, 1))
+    y = 0.5 * x[..., 0] + np.repeat([-1.0, 1.0], 4)[:, None] + rng.normal(size=(8, 5))
+    write_panel_csv(path, y, x, ["g1"] * 4 + ["g2"] * 4)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_REPORTS))
+def test_report_bytes(case, tmp_path, capsys):
+    (test, *flags), *expected = GOLDEN_REPORTS[case]
+    path = tmp_path / "panel.csv"
+    _pinned_panel(path)
+    digests = []
+    for fmt in ("json", "csv"):
+        assert main(["test", test, "--input", str(path), "--x-cols", "x1", *flags,
+                     "--format", fmt]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == expected
 
 
 def _leaves(prefix, value):
