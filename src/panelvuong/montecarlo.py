@@ -111,14 +111,19 @@ class DgpConfig:
 @functools.cache
 def block_groups(n: int, G: int) -> GroupMap:
     """Contiguous groups with sizes as equal as possible; one frozen map per (n, G)."""
+    if not 1 <= G <= n:     # G > n would leave trailing groups empty
+        raise ConfigError(f"need 1 <= G <= n, got G={G}, n={n}")
     base, extra = divmod(n, G)
     sizes = [base + (1 if g < extra else 0) for g in range(G)]
-    return GroupMap(codes=np.repeat(np.arange(G), sizes), G=G)
+    return GroupMap(codes=np.repeat(np.arange(G), sizes))
 
 
 def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap]:
     """One replication's panel and its group map; one :func:`normals` call draws
     every stream the kind reads, and each stream's draws are a view of its result."""
+    if isinstance(rep_index, bool) or not isinstance(rep_index, (int, np.integer)) \
+            or rep_index < 0:
+        raise ConfigError(f"replication index must be a nonnegative integer, got {rep_index!r}")
     n, T, G, K = config.n, config.T, config.G, config.K
     gmap = block_groups(n, G)
     signal = config.signal

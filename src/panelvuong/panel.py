@@ -3,14 +3,15 @@
 A panel holds an outcome array ``y`` of shape (n, T) and covariates ``x`` of
 shape (n, T, K) with K possibly zero.  Group structures are stored with
 contiguous zero-based codes internally; one-based labels appear only in
-reports.  Everything is frozen and checked when it is built, and safe to
-share between threads.
+reports.  A group map is its codes: the group count G, the group sizes and
+the block count M are derived from them, never passed in.  Everything is
+frozen and checked when it is built, and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,18 +19,25 @@ from .errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 
 def _int_array(values, what: str) -> np.ndarray:
-    """Values as a fresh int64 array; a value the cast would change is refused."""
+    """Values as a fresh int64 array; a non-number or a value the cast would change is refused."""
     raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):     # NaN and inf fail the check below
-        out = raw.astype(np.int64)
-    if not np.array_equal(out, raw):
-        raise OutOfRange(f"{what} must be whole numbers")
-    return out
+    if raw.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):     # NaN and inf fail the check below
+            out = raw.astype(np.int64)
+        if np.array_equal(out, raw):
+            return out
+    raise OutOfRange(f"{what} must be whole numbers")
 
 
-def _frozen(a) -> np.ndarray:
+def _frozen(a, what: str) -> np.ndarray:
+    try:
+        raw = np.asarray(a)
+    except ValueError:      # numpy refuses sequences nested to unequal lengths
+        raise TooSmall(f"{what} is ragged: its rows differ in length") from None
+    if raw.dtype.kind not in "biuf":
+        raise NonFinite(f"{what} holds an entry that is not a real number")
     # a copy, so that freezing never makes the caller's own array read-only
-    a = np.array(a, dtype=float, order="C")
+    a = np.array(raw, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -42,8 +50,8 @@ class PanelData:
     x: np.ndarray                  # (n, T, K), K may be 0
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _frozen(self.y))
-        object.__setattr__(self, "x", _frozen(self.x))
+        object.__setattr__(self, "y", _frozen(self.y, "y"))
+        object.__setattr__(self, "x", _frozen(self.x, "x"))
         y, x = self.y, self.x
         if y.ndim != 2:
             raise TooSmall(f"y must be a 2-d (n, T) array, got shape {y.shape}")
@@ -93,76 +101,73 @@ def make_panel(y, x=None) -> PanelData:
     x : array-like, shape (n, T, K), optional
         Covariates; omit for a pure fixed-effects panel (K = 0).
     """
-    y = np.asarray(y, dtype=float)
-    return PanelData(y=y, x=np.zeros(y.shape + (0,)) if x is None else x)
+    if x is None:
+        y = _frozen(y, "y")
+        x = np.zeros(y.shape + (0,))
+    return PanelData(y=y, x=x)
 
 
 @dataclass(frozen=True)
 class GroupMap:
-    """Known assignment of units to groups 1..G (stored zero-based)."""
+    """Known assignment of units to groups 1..G (stored zero-based), G from the codes."""
 
-    codes: np.ndarray              # (n,) ints in [0, G)
-    G: int
+    codes: np.ndarray              # (n,) ints in [0, G), every group present
+    G: int = field(init=False)
+    sizes: np.ndarray = field(init=False)  # (G,) units per group, frozen
 
     def __post_init__(self):
         codes = _int_array(self.codes, "group codes")
-        if self.G < 1:
-            raise OutOfRange(f"G must be >= 1, got {self.G}")
-        if codes.ndim != 1:
-            raise OutOfRange("group codes must be a 1-d array")
-        if codes.size and (codes.min() < 0 or codes.max() >= self.G):
-            raise OutOfRange(f"group codes must lie in [0, {self.G})")
-        sizes = np.bincount(codes, minlength=self.G)
-        if np.any(sizes == 0):
+        if codes.ndim != 1 or codes.size == 0:
+            raise OutOfRange("group codes must be a nonempty 1-d array")
+        if codes.min() < 0:
+            raise OutOfRange("group codes must be nonnegative")
+        if codes.max() >= codes.size:   # more groups than units, so one is empty
+            raise EmptyGroup(f"group codes name {codes.max() + 1} groups for {codes.size} units")
+        sizes = np.bincount(codes)
+        if not sizes.all():
             g = int(np.argmin(sizes))
-            raise EmptyGroup(f"group {g + 1} of {self.G} has no members")
+            raise EmptyGroup(f"group {g + 1} of {sizes.size} has no members")
         codes.flags.writeable = False
+        sizes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "G", sizes.size)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n(self) -> int:
         return self.codes.size
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.codes, minlength=self.G)
-
 
 @functools.cache
 def individual_groups(n: int) -> GroupMap:
     """One group per unit (G = n); one frozen map per n."""
-    return GroupMap(codes=np.arange(n), G=n)
+    return GroupMap(codes=np.arange(n))
 
 
 def groups_from_labels(labels) -> tuple[GroupMap, dict]:
     """Map arbitrary labels to contiguous codes by first appearance."""
     order: dict = {}
-    codes = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab not in order:
-            order[lab] = len(order)
-        codes[i] = order[lab]
-    return GroupMap(codes=codes, G=len(order)), order
+    codes = [order.setdefault(lab, len(order)) for lab in labels]
+    return GroupMap(codes=codes), order
 
 
 @dataclass(frozen=True)
 class TimeGroupMap:
-    """Nondecreasing assignment of periods to contiguous blocks 1..M."""
+    """Nondecreasing assignment of periods to contiguous blocks 1..M, M from the codes."""
 
     codes: np.ndarray              # (T,) ints in [0, M), nondecreasing
-    M: int
+    M: int = field(init=False)
 
     def __post_init__(self):
         codes = _int_array(self.codes, "time codes")
-        if self.M < 1:
-            raise OutOfRange(f"M must be >= 1, got {self.M}")
         if codes.ndim != 1 or codes.size == 0:
             raise OutOfRange("time codes must be a nonempty 1-d array")
-        if codes[0] != 0 or codes[-1] != self.M - 1 or np.any(np.diff(codes) < 0) \
-                or np.any(np.diff(codes) > 1):
+        steps = np.diff(codes)
+        if codes[0] != 0 or np.any((steps < 0) | (steps > 1)):
             raise OutOfRange("time blocks must be contiguous intervals covering 1..T")
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "M", int(codes[-1]) + 1)
 
     @property
     def T(self) -> int:
@@ -172,4 +177,4 @@ class TimeGroupMap:
 @functools.cache
 def single_block(T: int) -> TimeGroupMap:
     """All periods in one block (M = 1); one frozen map per T."""
-    return TimeGroupMap(codes=np.zeros(T, dtype=np.int64), M=1)
+    return TimeGroupMap(codes=np.zeros(T, dtype=np.int64))

@@ -28,18 +28,18 @@ def random_groups(rng: np.random.Generator, n: int, G: int) -> GroupMap:
     for _ in range(1000):
         codes = rng.integers(0, G, size=n)
         if len(np.unique(codes)) == G:
-            return GroupMap(codes=codes, G=G)
+            return GroupMap(codes=codes)
     raise ValueError(f"1000 uniform draws of n={n} units missed some of G={G} groups")
 
 
 def pooled_groups(n: int) -> GroupMap:
     """A single group containing every unit."""
-    return GroupMap(codes=np.zeros(n, dtype=np.int64), G=1)
+    return GroupMap(codes=np.zeros(n, dtype=np.int64))
 
 
 def blocks_from_sizes(sizes) -> TimeGroupMap:
     """Contiguous time blocks of the given lengths."""
-    return TimeGroupMap(codes=np.repeat(np.arange(len(sizes)), sizes), M=len(sizes))
+    return TimeGroupMap(codes=np.repeat(np.arange(len(sizes)), sizes))
 
 
 def dummy_ols_cells(panel: PanelData, gmap: GroupMap, mmap: TimeGroupMap):

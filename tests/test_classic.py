@@ -218,7 +218,7 @@ class TestVarianceComponents:
         # vanish and sigma2_s reduces to the direct two-term sum
         scores1 = np.array([[1.0, -1.0], [-2.0, 2.0], [1.0, -1.0], [-1.0, 1.0]])
         scores2 = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [3.0, 3.0]])
-        gmap2 = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
+        gmap2 = GroupMap(codes=np.array([0, 0, 1, 1]))
         fit1 = synthetic_fit(scores1, individual_groups(4))
         fit2 = synthetic_fit(scores2, gmap2)
         cross = np.array([sigma2_cross_unit(fit1, fit2, i) for i in range(4)])
@@ -304,7 +304,7 @@ class TestRunClassicTest:
 
     def test_label_invariance_within_groups(self, rng):
         panel = random_panel(rng, 8, 6, 0)
-        gmap = GroupMap(codes=np.array([0, 0, 0, 0, 1, 1, 1, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
         fit1, fit2 = fit_pair(panel, gmap)
         comp = classic_components(fit1, fit2)
         perm = np.array([2, 3, 0, 1, 7, 6, 5, 4])   # shuffles within groups

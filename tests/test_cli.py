@@ -324,7 +324,7 @@ class TestCmdTest:
         from_csv = dict(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
 
         panel = make_panel(y, x)
-        gmap = GroupMap(codes=[0, 0, 0, 1, 1, 1], G=2)
+        gmap = GroupMap(codes=[0, 0, 0, 1, 1, 1])
         fixed = gaussian_fixed_scale(1)
         report = (run_twfe_test(panel, gmap) if test == "twfe" else run_classic_test(
             panel, ModelSpec(fixed, individual_groups(6)), ModelSpec(fixed, gmap)))
@@ -390,7 +390,7 @@ class TestCmdTest:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["metadata"]["label_maps"]["units"]) == ["i0", "i1", "i2", "i3"]
-        expected = run_twfe_test(make_panel(y), GroupMap(codes=[0, 0, 1, 1], G=2))
+        expected = run_twfe_test(make_panel(y), GroupMap(codes=[0, 0, 1, 1]))
         assert doc["test"]["mqlr"] == expected.mqlr
 
 

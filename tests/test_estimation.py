@@ -37,7 +37,7 @@ class TestFitLinearCells:
     def test_time_effect_reduction(self, rng):
         # G = 1, M = T gives one effect per period
         panel = random_panel(rng, 8, 6, 1)
-        mmap = TimeGroupMap(codes=np.arange(6), M=6)
+        mmap = TimeGroupMap(codes=np.arange(6))
         fit = fit_linear_cells(panel, pooled_groups(8), mmap)
         xbar = panel.x.mean(axis=0)
         ybar = panel.y.mean(axis=0)
@@ -45,7 +45,7 @@ class TestFitLinearCells:
 
     def test_rank_deficient_constant_covariate(self, rng):
         # x constant within every cell has no within variation
-        gmap = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 1, 1]))
         x = np.ones((4, 2, 1)) * gmap.codes[:, None, None]
         panel = make_panel(rng.normal(size=(4, 2)), x)
         with pytest.raises(RankDeficient):
@@ -93,7 +93,7 @@ class TestFitGroupedTime:
     def test_matches_linear_cells_with_time_identity(self, rng):
         panel = random_panel(rng, 10, 6, 1)
         gmap = random_groups(rng, 10, 3)
-        mmap = TimeGroupMap(codes=np.arange(6), M=6)
+        mmap = TimeGroupMap(codes=np.arange(6))
         fit_a = fit_grouped_time(panel, gmap)
         fit_b = fit_linear_cells(panel, gmap, mmap)
         assert rel_gap(fit_a.theta, fit_b.theta) < 1e-10
@@ -194,7 +194,7 @@ class TestFitProfileMle:
 
     def test_unit_permutation_invariance(self, rng):
         panel = random_panel(rng, 8, 5, 1)
-        gmap = GroupMap(codes=np.array([0, 0, 0, 0, 1, 1, 1, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
         spec = ModelSpec(gaussian_fixed_scale(1), gmap)
         fit = fit_profile_mle(panel, spec)
         # swap two units inside group 0 and two inside group 1
@@ -207,8 +207,8 @@ class TestFitProfileMle:
 
     def test_group_label_permutation(self, rng):
         panel = random_panel(rng, 6, 4, 0)
-        gmap = GroupMap(codes=np.array([0, 0, 1, 1, 2, 2]), G=3)
-        relabeled = GroupMap(codes=np.array([2, 2, 0, 0, 1, 1]), G=3)
+        gmap = GroupMap(codes=np.array([0, 0, 1, 1, 2, 2]))
+        relabeled = GroupMap(codes=np.array([2, 2, 0, 0, 1, 1]))
         fit = fit_profile_mle(panel, ModelSpec(gaussian_fixed_scale(0), gmap))
         fit_r = fit_profile_mle(panel, ModelSpec(gaussian_fixed_scale(0), relabeled))
         assert fit.loglik == pytest.approx(fit_r.loglik, abs=1e-10)
@@ -548,7 +548,7 @@ class TestScalarOracle:
 
     def test_unequal_group_sizes(self, rng):
         panel = random_panel(rng, 10, 5, 2)
-        gmap = GroupMap(codes=np.array([2, 1, 2, 2, 0, 2, 1, 2, 1, 2]), G=3)
+        gmap = GroupMap(codes=np.array([2, 1, 2, 2, 0, 2, 1, 2, 1, 2]))
         self.assert_matches_oracle(panel, ModelSpec(gaussian_fixed_scale(2), gmap))
 
     def test_full_scale(self, rng):
@@ -564,7 +564,7 @@ class TestScalarOracle:
 
     def test_poisson_two_covariates_unequal_groups(self, rng):
         # each cell's curvature depends on theta, so A, B and H all move
-        gmap = GroupMap(codes=np.array([2, 1, 2, 2, 0, 2, 1, 2, 1, 2, 0, 2]), G=3)
+        gmap = GroupMap(codes=np.array([2, 1, 2, 2, 0, 2, 1, 2, 1, 2, 0, 2]))
         panel = poisson_panel(rng, gmap, single_block(8), 8, 2, [0.3, 1.0, 1.8])
         fit = self.assert_matches_oracle(panel, ModelSpec(poisson_family(2), gmap))
         assert fit.iterations >= 2
@@ -609,7 +609,7 @@ class TestScalarOracle:
 
         family = LikelihoodFamily("flat-cell", d_theta, psi, psi_theta, psi_gamma,
                                   lambda y, x, th, g: -x[..., 0] + 0.0 * g)
-        gmap = GroupMap(codes=np.array([0, 0, 1, 1, 2, 2]), G=3)
+        gmap = GroupMap(codes=np.array([0, 0, 1, 1, 2, 2]))
         y = np.arange(18.0).reshape(6, 3)
         y[2:4] = y_in_cell
         x = np.stack([np.ones((6, 3)), np.linspace(-1.0, 2.0, 18).reshape(6, 3)], axis=-1)

@@ -109,6 +109,12 @@ class TestGenerate:
     def test_signal_recorded(self):
         assert cfg(kind="B", kappa=0.5, noise=2.0).signal == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rep", [-1, 1.5])
+    def test_rep_index_not_a_nonnegative_integer_refused(self, rep):
+        # SeedSequence raised its own ValueError on -1, and 1.5 ran rep 1
+        with pytest.raises(ConfigError, match="replication index"):
+            generate(DgpConfig(kind="A", n=4, T=3, G=2), rep)
+
     def test_shapes(self):
         panel, gmap = generate(cfg(n=9, T=7, G=4, K=2), 0)
         assert (panel.n, panel.T, panel.K) == (9, 7, 2)

@@ -2,9 +2,13 @@
 
 import ast
 import inspect
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import panelvuong
 import panelvuong.cli  # noqa: F401  (the CLI's names are wrap points too)
@@ -12,6 +16,8 @@ from panelvuong import estimation
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def test_all_lists_public_names_only():
@@ -48,3 +54,17 @@ def test_every_benchmark_wrap_point_resolves():
     missing = [(module, attr) for module, attr in points
                if not callable(getattr(sys.modules.get(module), attr, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_benchmark_run_ends_with_a_result(workload):
+    # a traced run must end with its details and result lines, every layer
+    # present: a run that exits 0 with anything else last is a lost benchmark
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", "1", "--seconds", "0.3", "--trace", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    *_, details, result = run.stdout.splitlines()
+    result = json.loads(result)
+    assert result["correct"] is True and result["failed"] == 0
+    assert json.loads(details)["absent_layers"] == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import blocks_from_sizes, pooled_groups, random_groups
 from panelvuong import GroupMap, PanelData, TimeGroupMap, individual_groups, make_panel
-from panelvuong.errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
+from panelvuong.errors import ConfigError, EmptyGroup, NonFinite, OutOfRange, TooSmall
 from panelvuong.montecarlo import block_groups
 from panelvuong.panel import groups_from_labels, linear_index, single_block
 
@@ -41,6 +41,15 @@ class TestValidatePanel:
         with pytest.raises(TooSmall):
             make_panel([[1.0], [2.0]])
 
+    @pytest.mark.parametrize("y, error", [
+        ([[1.0, 2.0], [3.0]], TooSmall),
+        ([["a", "b"], ["c", "d"]], NonFinite),
+    ], ids=["ragged", "text"])
+    def test_malformed_y_typed(self, y, error):
+        # numpy's own ValueError, not a PanelVuongError, before these were typed
+        with pytest.raises(error):
+            make_panel(y)
+
     def test_idempotent(self):
         p = make_panel([[1.0, 2.0], [3.0, 4.0]])
         q = PanelData(y=p.y, x=p.x)
@@ -73,8 +82,9 @@ class TestValidatePanel:
         (np.ones((2, 3)), np.zeros((2, 2, 1)), TooSmall),
         (np.ones((2, 3)), np.zeros((2, 3)), TooSmall),
         (np.ones(4), np.zeros((4, 1, 0)), TooSmall),
+        (np.ones((2, 1)), [[[1.0]], [[2.0], [3.0]]], TooSmall),
     ], ids=["nan_in_y", "inf_in_x", "single_unit", "single_period",
-            "x_shape_mismatch", "x_not_3d", "y_not_2d"])
+            "x_shape_mismatch", "x_not_3d", "y_not_2d", "ragged_x"])
     def test_direct_construction_rejected(self, y, x, error):
         with pytest.raises(error):
             PanelData(y=y, x=x)
@@ -101,38 +111,63 @@ class TestGroupPartition:
         assert sizes.tolist() == [5]
 
     def test_two_blocks(self):
-        gmap = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 1, 1]))
         members = group_members(gmap)
         assert members[0].tolist() == [0, 1]
         assert members[1].tolist() == [2, 3]
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyGroup):
-            GroupMap(codes=np.array([0, 0, 2, 2]), G=3)
+            GroupMap(codes=np.array([0, 0, 2, 2]))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRange):
-            GroupMap(codes=np.array([0, 1, 2]), G=2)
+        with pytest.raises(OutOfRange, match="nonnegative"):
+            GroupMap(codes=np.array([0, -1, 1]))
 
-    @pytest.mark.parametrize("codes", [[0.5, 1.7, 0.2], [0.0, 1.0, np.nan]])
+    def test_more_groups_than_units_is_empty_group(self):
+        # refused before np.bincount would size an array by the largest code
+        with pytest.raises(EmptyGroup, match="1099511627777 groups for 2 units"):
+            GroupMap(codes=np.array([0, 2 ** 40]))
+
+    @pytest.mark.parametrize("codes", [[0.5, 1.7, 0.2], [0.0, 1.0, np.nan], ["a"]])
     def test_fractional_codes_rejected(self, codes):
-        # the int64 cast would truncate [0.5, 1.7, 0.2] to [0, 1, 0]
+        # the int64 cast would truncate [0.5, 1.7, 0.2] to [0, 1, 0], and
+        # raised numpy's own ValueError on text
         with pytest.raises(OutOfRange, match="whole numbers"):
-            GroupMap(codes=codes, G=2)
+            GroupMap(codes=codes)
 
     def test_whole_float_codes_accepted(self):
-        codes = GroupMap(codes=[0.0, 1.0, 1.0], G=2).codes
+        codes = GroupMap(codes=[0.0, 1.0, 1.0]).codes
         assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
 
-    @given(st.lists(st.integers(0, 4), min_size=5, max_size=40))
+    @given(st.lists(st.integers(0, 6), max_size=40))
     def test_partition_completeness(self, raw):
-        codes = np.array(raw)
+        codes = np.array(raw, dtype=np.int64)
+        if not raw:
+            with pytest.raises(OutOfRange):
+                GroupMap(codes=codes)
+            return
         got = np.unique(codes)
-        codes = np.searchsorted(got, codes)   # compress to contiguous labels
-        gmap = GroupMap(codes=codes, G=len(got))
-        members, sizes = group_members(gmap), gmap.sizes
-        assert sizes.sum() == len(raw)
+        if got.size != got[-1] + 1:           # a gap: some group has no unit
+            with pytest.raises(EmptyGroup):
+                GroupMap(codes=codes)
+            return
+        gmap = GroupMap(codes=codes)
+        assert gmap.G == got.size and type(gmap.G) is int
+        assert np.array_equal(gmap.sizes, np.bincount(codes))
+        assert not gmap.sizes.flags.writeable and gmap.sizes is gmap.sizes
+        members = group_members(gmap)
         assert sorted(np.concatenate(members).tolist()) == list(range(len(raw)))
+        blocks = TimeGroupMap(codes=np.sort(codes))
+        assert blocks.M == int(np.sort(codes)[-1]) + 1 and type(blocks.M) is int
+
+    @pytest.mark.parametrize("make", [lambda: GroupMap(codes=[0, 1], G=2),
+                                      lambda: TimeGroupMap(codes=[0, 1], M=2)],
+                             ids=["G", "M"])
+    def test_count_is_not_an_argument(self, make):
+        # G and M come from the codes alone
+        with pytest.raises(TypeError):
+            make()
 
     def test_random_groups_gives_up(self, rng):
         # the test helper caps its redraws: 3 units can never hit 4 groups
@@ -154,6 +189,12 @@ class TestGroupPartition:
         m = block_groups(10, 3)
         assert block_groups(10, 3) is m    # one frozen map per (n, G), shared by every rep
         assert not m.codes.flags.writeable
+
+    @pytest.mark.parametrize("G", [0, 5])
+    def test_block_groups_outside_one_to_n(self, G):
+        # 0 divided by zero; 5 groups of 3 units would leave two empty
+        with pytest.raises(ConfigError, match=f"got G={G}, n=3"):
+            block_groups(3, G)
 
 
 class TestTimeGroupMap:
@@ -177,19 +218,24 @@ class TestTimeGroupMap:
 
     def test_decreasing_rejected(self):
         with pytest.raises(OutOfRange):
-            TimeGroupMap(codes=np.array([0, 1, 0]), M=2)
+            TimeGroupMap(codes=np.array([0, 1, 0]))
 
     def test_gap_rejected(self):
         with pytest.raises(OutOfRange):
-            TimeGroupMap(codes=np.array([0, 0, 2]), M=3)
+            TimeGroupMap(codes=np.array([0, 0, 2]))
 
     def test_fractional_codes_rejected(self):
         # the int64 cast would truncate these to the valid blocks [0, 0, 1]
         with pytest.raises(OutOfRange, match="whole numbers"):
-            TimeGroupMap(codes=[0.0, 0.9, 1.2], M=2)
+            TimeGroupMap(codes=[0.0, 0.9, 1.2])
+
+    def test_text_codes_rejected(self):
+        # the int64 cast raised numpy's own ValueError
+        with pytest.raises(OutOfRange, match="whole numbers"):
+            TimeGroupMap(codes=["x"])
 
     def test_whole_float_codes_accepted(self):
-        codes = TimeGroupMap(codes=[0.0, 1.0, 1.0], M=2).codes
+        codes = TimeGroupMap(codes=[0.0, 1.0, 1.0]).codes
         assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
 
 

@@ -1,5 +1,6 @@
 """Decisions and p-values assembled from a statistic and its variance."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from scipy import stats as sstats
 
 from conftest import random_groups, random_panel
-from panelvuong import (ModelSpec, gaussian_fixed_scale, individual_groups,
-                        make_panel, normal_quantile, run_classic_test,
+from panelvuong import (GroupMap, ModelSpec, gaussian_fixed_scale, individual_groups,
+                        make_panel, normal_quantile, render_json, run_classic_test,
                         run_twfe_test, to_document)
 from panelvuong.errors import NonFinite, OutOfRange
 from panelvuong.report import SCHEMA_VERSION, decide, rejects
@@ -105,6 +106,15 @@ class TestDocumentLayout:
             assert doc["metadata"]["schema_version"] == 2
             assert list(doc["test"]) == self.TEST
             assert list(doc["components"]) == self.COMPONENTS[test]
+
+
+    def test_group_count_renders_as_json(self, rng):
+        # G derived from the codes is a Python int; a numpy one (as
+        # GroupMap(codes, G=codes.max() + 1) used to store) is no JSON value
+        gmap = GroupMap(codes=np.repeat(np.arange(4), 5))
+        for report in both_reports(random_panel(rng, 20, 6, 1), gmap).values():
+            doc = json.loads(render_json(to_document(report)))
+            assert doc["components"][f"groups_model{1 if report.test == 'twfe' else 2}"] == 4
 
 
 class TestScaleEquivariance:

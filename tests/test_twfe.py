@@ -95,14 +95,14 @@ class TestBiasHat:
         # all unit variances 1, n = T, equal group sizes
         n = T = 8
         G = 2
-        gmap = GroupMap(codes=np.repeat(np.arange(G), n // G), G=G)
+        gmap = GroupMap(codes=np.repeat(np.arange(G), n // G))
         ones = np.ones(n)
         got = bias_hat(ones, ones, gmap, T)
         expected = (T * G - n - T + 1) / (2.0 * np.sqrt(n * T))
         assert got == pytest.approx(expected)
 
     def test_zero_variances(self):
-        gmap = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 1, 1]))
         assert bias_hat(np.zeros(4), np.zeros(4), gmap, 4) == 0.0
 
     def test_mqlr_not_antisymmetric(self, rng):
@@ -135,7 +135,7 @@ class TestVarianceComponents:
 
     def test_zero_residuals(self):
         e = np.zeros((4, 3))
-        gmap = GroupMap(codes=np.array([0, 0, 1, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 1, 1]))
         comp = residual_components(e, e, gmap)
         assert (comp.sigma2_nt, comp.sigma2_u) == (0.0, 0.0)
 
@@ -168,7 +168,7 @@ class TestVarianceComponents:
 
 class TestDofFactors:
     def test_values(self):
-        gmap = GroupMap(codes=np.array([0, 0, 0, 1]), G=2)
+        gmap = GroupMap(codes=np.array([0, 0, 0, 1]))
         a, b = dof_factors(gmap, 5)
         assert np.allclose(a, [1.5, 1.5, 1.5, 1.0])   # singleton group -> 1
         assert b == pytest.approx(20.0 / 12.0)
