@@ -111,7 +111,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("rep", [-1, 1.5])
     def test_rep_index_not_a_nonnegative_integer_refused(self, rep):
-        # SeedSequence raised its own ValueError on -1, and 1.5 ran rep 1
+        # SeedSequence raises its own ValueError on -1, and int() truncates 1.5 to rep 1
         with pytest.raises(ConfigError, match="replication index"):
             generate(DgpConfig(kind="A", n=4, T=3, G=2), rep)
 

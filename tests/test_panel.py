@@ -46,7 +46,7 @@ class TestValidatePanel:
         ([["a", "b"], ["c", "d"]], NonFinite),
     ], ids=["ragged", "text"])
     def test_malformed_y_typed(self, y, error):
-        # numpy's own ValueError, not a PanelVuongError, before these were typed
+        # numpy raises its own ValueError on both; the panel raises typed errors
         with pytest.raises(error):
             make_panel(y)
 
@@ -132,7 +132,7 @@ class TestGroupPartition:
     @pytest.mark.parametrize("codes", [[0.5, 1.7, 0.2], [0.0, 1.0, np.nan], ["a"]])
     def test_fractional_codes_rejected(self, codes):
         # the int64 cast would truncate [0.5, 1.7, 0.2] to [0, 1, 0], and
-        # raised numpy's own ValueError on text
+        # raises numpy's own ValueError on text
         with pytest.raises(OutOfRange, match="whole numbers"):
             GroupMap(codes=codes)
 
@@ -230,7 +230,7 @@ class TestTimeGroupMap:
             TimeGroupMap(codes=[0.0, 0.9, 1.2])
 
     def test_text_codes_rejected(self):
-        # the int64 cast raised numpy's own ValueError
+        # the int64 cast raises numpy's own ValueError on text
         with pytest.raises(OutOfRange, match="whole numbers"):
             TimeGroupMap(codes=["x"])
 

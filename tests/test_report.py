@@ -109,8 +109,7 @@ class TestDocumentLayout:
 
 
     def test_group_count_renders_as_json(self, rng):
-        # G derived from the codes is a Python int; a numpy one (as
-        # GroupMap(codes, G=codes.max() + 1) used to store) is no JSON value
+        # G is a Python int derived from the codes: json cannot write a numpy int
         gmap = GroupMap(codes=np.repeat(np.arange(4), 5))
         for report in both_reports(random_panel(rng, 20, 6, 1), gmap).values():
             doc = json.loads(render_json(to_document(report)))
