@@ -58,7 +58,8 @@ class ClassicComponents:
     """Everything entering the classic statistic, per unit and aggregated.
 
     The per-unit arrays are raw moments; the bias corrections, mqlr and the
-    variance terms are built from their dof-rescaled values.
+    variance terms are built from their dof-rescaled values.  A report's
+    components block is the int and float fields, under their field names.
     """
 
     sigma2_1: np.ndarray     # per-unit score variances, model 1 (raw)
@@ -67,8 +68,8 @@ class ClassicComponents:
     sigma2_12: np.ndarray    # per-unit squared cross moments (raw)
     loglik_1: float
     loglik_2: float
-    r_1: float               # dof-rescaled bias correction, model 1
-    r_2: float               # dof-rescaled bias correction, model 2
+    bias_1: float            # dof-rescaled bias correction, model 1
+    bias_2: float            # dof-rescaled bias correction, model 2
     qlr: float               # uncorrected statistic
     mqlr: float
     sigma2_nt: float
@@ -79,25 +80,7 @@ class ClassicComponents:
     nested: bool             # same family: omega2 is sigma2_u
     n: int
     T: int
-    g_2: int                 # model-2 group count
-
-    def scalars(self) -> dict:
-        return {
-            "loglik_1": self.loglik_1,
-            "loglik_2": self.loglik_2,
-            "bias_1": self.r_1,
-            "bias_2": self.r_2,
-            "qlr": self.qlr,
-            "mqlr": self.mqlr,
-            "sigma2_nt": self.sigma2_nt,
-            "sigma2_u": self.sigma2_u,
-            "sigma2_u_raw": self.sigma2_u_raw,
-            "sigma2_s": self.sigma2_s,
-            "omega2": self.omega2,
-            "n": self.n,
-            "T": self.T,
-            "groups_model2": self.g_2,
-        }
+    groups_model2: int       # model-2 group count
 
 
 def _residual_dof(n: int, T: int, d_theta: int, label: str = "model") -> int:
@@ -228,9 +211,9 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
     v1, v2, s2, c12 = a * raw[0], b * raw[1], b * raw[2], (a * b) * raw[3]
 
     qlr = float((fit_1.loglik - fit_2.loglik) / np.sqrt(n * T))
-    r_1 = a * _bias(raw[0], fit_1)
-    r_2 = b * _bias(raw[1], fit_2)
-    mqlr = float(((fit_1.loglik - r_1) - (fit_2.loglik - r_2)) / np.sqrt(n * T))
+    bias_1 = a * _bias(raw[0], fit_1)
+    bias_2 = b * _bias(raw[1], fit_2)
+    mqlr = float(((fit_1.loglik - bias_1) - (fit_2.loglik - bias_2)) / np.sqrt(n * T))
     dpsi = fit_1.loglik_obs - fit_2.loglik_obs
     # a numpy square overflows to inf (refused by decide) where a float's raises
     sigma2_nt = float((dpsi ** 2).sum() / (n * T) - np.float64(mqlr) ** 2 / (n * T))
@@ -246,8 +229,8 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
         sigma2_12=raw[3],
         loglik_1=fit_1.loglik,
         loglik_2=fit_2.loglik,
-        r_1=r_1,
-        r_2=r_2,
+        bias_1=bias_1,
+        bias_2=bias_2,
         qlr=qlr,
         mqlr=mqlr,
         sigma2_nt=sigma2_nt,
@@ -258,7 +241,7 @@ def classic_components(fit_1: FitResult, fit_2: FitResult) -> ClassicComponents:
         nested=nested,
         n=n,
         T=T,
-        g_2=gmap_2.G,
+        groups_model2=gmap_2.G,
     )
 
 

@@ -22,7 +22,7 @@ from .errors import (ConfigError, GroupDrift, PanelVuongError, ParseError,
                      Unbalanced)
 from .estimation import ModelSpec
 from .families import gaussian_fixed_scale, gaussian_full_scale
-from .montecarlo import (DgpConfig, replications_jsonl, run_replications,
+from .montecarlo import (KINDS, DgpConfig, replications_jsonl, run_replications,
                          size_power_csv, summarize)
 from .panel import (GroupMap, PanelData, groups_from_labels, individual_groups,
                     make_panel)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     twfe.add_argument("--group-col", required=True)
 
     sim = sub.add_parser("simulate", help="run a seeded size/power campaign")
-    sim.add_argument("--kind", required=True, choices=("A", "B", "C", "D", "E"))
+    sim.add_argument("--kind", required=True, choices=KINDS)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--T", type=int, required=True)
     sim.add_argument("--G", type=int, required=True)

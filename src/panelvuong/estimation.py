@@ -28,7 +28,7 @@ INNER_TOL = 1e-12    # absolute bound on each cell's scalar first-order conditio
 MAX_HALVINGS = 30    # step halvings per Newton update; also guards the family's domain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A likelihood family plus the known unit/time group structure."""
 

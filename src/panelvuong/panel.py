@@ -20,7 +20,10 @@ from .errors import EmptyGroup, NonFinite, OutOfRange, TooSmall
 
 def _int_array(values, what: str) -> np.ndarray:
     """Values as a fresh int64 array; a non-number or a value the cast would change is refused."""
-    raw = np.asarray(values)
+    try:
+        raw = np.asarray(values)
+    except ValueError:      # numpy refuses sequences nested to unequal lengths
+        raise OutOfRange(f"{what} are ragged: a 1-d array is needed") from None
     if raw.dtype.kind in "biuf":
         with np.errstate(invalid="ignore"):     # NaN and inf fail the check below
             out = raw.astype(np.int64)
@@ -107,7 +110,7 @@ def make_panel(y, x=None) -> PanelData:
     return PanelData(y=y, x=x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupMap:
     """Known assignment of units to groups 1..G (stored zero-based), G from the codes."""
 
@@ -151,7 +154,7 @@ def groups_from_labels(labels) -> tuple[GroupMap, dict]:
     return GroupMap(codes=codes), order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGroupMap:
     """Nondecreasing assignment of periods to contiguous blocks 1..M, M from the codes."""
 

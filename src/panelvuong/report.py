@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from . import __version__
@@ -86,7 +86,8 @@ def decide(test: str, components: Any, level: float, warnings: list[str]) -> Tes
 
 def to_document(report: TestReport, *, input_digest: str | None = None,
                 label_maps: dict | None = None, timestamp: str | None = None) -> dict:
-    """Flatten a report into the versioned document layout."""
+    """Flatten a report into the versioned document layout.  The components
+    block is the components' fields declared int or float, by name and in order."""
     return {
         "metadata": {
             "schema_version": SCHEMA_VERSION,
@@ -109,7 +110,8 @@ def to_document(report: TestReport, *, input_digest: str | None = None,
             "degenerate": report.degenerate,
             "degenerate_reason": report.degenerate_reason,
         },
-        "components": report.components.scalars(),
+        "components": {f.name: getattr(report.components, f.name)
+                       for f in fields(report.components) if f.type in ("int", "float")},
         "warnings": list(report.warnings),
     }
 

@@ -51,21 +51,7 @@ class TwfeTestComponents:
     omega2: float
     n: int
     T: int
-    g_1: int                 # model-1 group count
-
-    def scalars(self) -> dict:
-        return {
-            "qlr": self.qlr,
-            "bias": self.bias,
-            "mqlr": self.mqlr,
-            "sigma2_nt": self.sigma2_nt,
-            "sigma2_u": self.sigma2_u,
-            "sigma2_u_raw": self.sigma2_u_raw,
-            "omega2": self.omega2,
-            "n": self.n,
-            "T": self.T,
-            "groups_model1": self.g_1,
-        }
+    groups_model1: int       # model-1 group count
 
 
 def qlr_twfe(resid_1: np.ndarray, resid_2: np.ndarray) -> float:
@@ -168,7 +154,7 @@ def twfe_components(fit_1: GroupedTimeFit, fit_2: TwfeFit) -> TwfeTestComponents
         sigma2_1=raw1, sigma2_2=raw2, sigma12=raw12,
         qlr=qlr, bias=bias, mqlr=mqlr,
         sigma2_nt=sigma2_nt, sigma2_u=sigma2_u, sigma2_u_raw=sigma2_u_raw,
-        omega2=omega2, n=n, T=T, g_1=gmap.G,
+        omega2=omega2, n=n, T=T, groups_model1=gmap.G,
     )
 
 

@@ -123,7 +123,7 @@ class TestBiasCorrection:
         # all per-unit variances are 1, so the sum is n/2
         assert bias_correction(fit1) == pytest.approx(5.0)
         comp = classic_components(fit1, fit2)
-        assert comp.r_1 == pytest.approx(dof_factor(fit1) * bias_correction(fit1), rel=1e-12)
+        assert comp.bias_1 == pytest.approx(dof_factor(fit1) * bias_correction(fit1), rel=1e-12)
 
     def test_single_group_of_size_n(self):
         panel = plus_minus_panel(10)
@@ -132,13 +132,13 @@ class TestBiasCorrection:
         assert bias_correction(fit2) == pytest.approx(0.5)
         comp = classic_components(fit1, fit2)
         assert np.allclose(comp.sigma2_2, 1.0)
-        assert comp.r_2 == pytest.approx(dof_factor(fit2) * bias_correction(fit2), rel=1e-12)
+        assert comp.bias_2 == pytest.approx(dof_factor(fit2) * bias_correction(fit2), rel=1e-12)
 
     def test_zero_residual_panel(self):
         panel = make_panel(np.outer(np.arange(4.0), np.ones(3)))
         fit1, fit2 = fit_pair(panel, individual_groups(4))
         assert bias_correction(fit1) == 0.0
-        assert classic_components(fit1, fit2).r_1 == 0.0
+        assert classic_components(fit1, fit2).bias_1 == 0.0
 
 
 class TestMqlr:
@@ -311,7 +311,7 @@ class TestRunClassicTest:
         panel_p = make_panel(panel.y[perm])
         fit1p, fit2p = fit_pair(panel_p, gmap)
         comp_p = classic_components(fit1p, fit2p)
-        for name in ("loglik_1", "loglik_2", "r_1", "r_2", "qlr", "mqlr",
+        for name in ("loglik_1", "loglik_2", "bias_1", "bias_2", "qlr", "mqlr",
                      "sigma2_nt", "sigma2_u", "sigma2_s", "omega2"):
             assert getattr(comp, name) == pytest.approx(getattr(comp_p, name),
                                                         abs=1e-10)
@@ -388,10 +388,10 @@ class TestNestedVariance:
         comp = classic_components(fit1, fit2)
         factor = n * T / (n * (T - 1) - K)
         assert dof_factor(fit1) == dof_factor(fit2) == pytest.approx(factor)
-        assert comp.r_1 == pytest.approx(factor * bias_correction(fit1), rel=1e-12)
-        assert comp.r_2 == pytest.approx(factor * bias_correction(fit2), rel=1e-12)
+        assert comp.bias_1 == pytest.approx(factor * bias_correction(fit1), rel=1e-12)
+        assert comp.bias_2 == pytest.approx(factor * bias_correction(fit2), rel=1e-12)
         assert comp.mqlr == pytest.approx(
-            ((fit1.loglik - comp.r_1) - (fit2.loglik - comp.r_2)) / np.sqrt(n * T),
+            ((fit1.loglik - comp.bias_1) - (fit2.loglik - comp.bias_2)) / np.sqrt(n * T),
             rel=1e-12, abs=1e-14)
         assert mqlr_classic(fit1, fit2) == comp.mqlr
         _, s_u_raw, _ = variance_components(fit1, fit2, comp.mqlr)
@@ -422,7 +422,7 @@ class TestNestedVariance:
         comp = classic_components(fit1, fit2)
         assert dof_factor(fit1) == dof_factor(fit2) == 1.0
         assert comp.nested
-        assert comp.r_1 == bias_correction(fit1)
+        assert comp.bias_1 == bias_correction(fit1)
         assert comp.sigma2_u == comp.sigma2_u_raw
         assert comp.mqlr == mqlr_classic(fit1, fit2)
 

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -68,3 +69,20 @@ def test_traced_benchmark_run_ends_with_a_result(workload):
     result = json.loads(result)
     assert result["correct"] is True and result["failed"] == 0
     assert json.loads(details)["absent_layers"] == []
+
+
+def test_runtime_imports_are_numpy_only():
+    # the package and its command line need numpy alone: scipy and
+    # hypothesis are test extras, and any other import slows every start
+    probe = "import sys; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def top_level_modules(imports: str) -> set:
+        run = subprocess.run([sys.executable, "-c", imports + probe], cwd=ROOT, env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        return set(run.stdout.split())
+
+    added = top_level_modules("import panelvuong, panelvuong.cli; ") - top_level_modules("")
+    assert added - set(sys.stdlib_module_names) <= {"numpy", "panelvuong"}

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import blocks_from_sizes, pooled_groups, random_groups
-from panelvuong import GroupMap, PanelData, TimeGroupMap, individual_groups, make_panel
+from panelvuong import (GroupMap, ModelSpec, PanelData, TimeGroupMap, gaussian_fixed_scale,
+                        individual_groups, make_panel)
 from panelvuong.errors import ConfigError, EmptyGroup, NonFinite, OutOfRange, TooSmall
 from panelvuong.montecarlo import block_groups
 from panelvuong.panel import groups_from_labels, linear_index, single_block
@@ -140,6 +141,11 @@ class TestGroupPartition:
         codes = GroupMap(codes=[0.0, 1.0, 1.0]).codes
         assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 1]
 
+    def test_ragged_codes_rejected(self):
+        # numpy refuses the unequal nesting with its own ValueError
+        with pytest.raises(OutOfRange, match="ragged"):
+            GroupMap(codes=[[0], [1, 2]])
+
     @given(st.lists(st.integers(0, 6), max_size=40))
     def test_partition_completeness(self, raw):
         codes = np.array(raw, dtype=np.int64)
@@ -168,6 +174,18 @@ class TestGroupPartition:
         # G and M come from the codes alone
         with pytest.raises(TypeError):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: GroupMap(codes=[0, 1]),
+        lambda: TimeGroupMap(codes=[0, 1]),
+        lambda: ModelSpec(gaussian_fixed_scale(0), GroupMap(codes=[0, 1]))],
+        ids=["GroupMap", "TimeGroupMap", "ModelSpec"])
+    def test_compare_by_identity(self, make):
+        # a field-wise == would compare the codes arrays and raise numpy's
+        # ValueError, and a field-wise hash would raise TypeError on them
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_random_groups_gives_up(self, rng):
         # the test helper caps its redraws: 3 units can never hit 4 groups
@@ -233,6 +251,11 @@ class TestTimeGroupMap:
         # the int64 cast raises numpy's own ValueError on text
         with pytest.raises(OutOfRange, match="whole numbers"):
             TimeGroupMap(codes=["x"])
+
+    def test_ragged_codes_rejected(self):
+        # numpy refuses the unequal nesting with its own ValueError
+        with pytest.raises(OutOfRange, match="ragged"):
+            TimeGroupMap(codes=[[0], [1, 2]])
 
     def test_whole_float_codes_accepted(self):
         codes = TimeGroupMap(codes=[0.0, 1.0, 1.0]).codes

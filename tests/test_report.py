@@ -106,6 +106,9 @@ class TestDocumentLayout:
             assert doc["metadata"]["schema_version"] == 2
             assert list(doc["test"]) == self.TEST
             assert list(doc["components"]) == self.COMPONENTS[test]
+            # each key is the attribute of that name: one name per value
+            assert doc["components"] == {k: getattr(report.components, k)
+                                         for k in self.COMPONENTS[test]}
 
 
     def test_group_count_renders_as_json(self, rng):
