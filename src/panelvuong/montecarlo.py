@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -240,12 +241,68 @@ def _run_one(config: DgpConfig, rep_index: int) -> RepRecord:
                      qlr=report.components.qlr, statistic=report.statistic)
 
 
+_pool: list = []    # this process's forked workers, as (Process, Connection) pairs
+if hasattr(os, "register_at_fork"):    # a forked child must not share its parent's pipes
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_range(config: DgpConfig, start: int, stop: int) -> list[RepRecord]:
+    # Keep the campaign's working memory resident.  glibc mmaps a block over
+    # 128 KiB, and freeing one of at most 32 MiB raises its mmap threshold to
+    # the block's size and its heap-trim threshold to twice that (mallopt(3)).
+    # After this block, 8x the (n, T, K + 1) panel and capped below 32 MiB, each
+    # replication's temporaries reuse resident heap pages instead of being
+    # trimmed and faulted in again.  Other allocators ignore it; no value changes.
+    np.empty(min(8 * config.n * config.T * (config.K + 1), 4_000_000))
+    return [_run_one(config, r) for r in range(start, stop)]
+
+
+def _serve(conn, parent_end) -> None:
+    """A worker: it sends back the records of each (config, start, stop) it
+    receives, or the exception that is not a PanelVuongError, until EOF."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is the caller's to handle
+    parent_end.close()
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send(_run_range(*job))
+        except Exception as exc:
+            conn.send(exc)
+
+
+def _workers(count: int) -> list:
+    """``count`` workers, forked on first need; none without the fork start
+    method or in a daemonic process, which may not have children."""
+    import multiprocessing      # here, so that nothing else pays for the import
+    if multiprocessing.current_process().daemon \
+            or "fork" not in multiprocessing.get_all_start_methods():
+        return []
+    context = multiprocessing.get_context("fork")
+    while len(_pool) < count:
+        parent_end, child_end = context.Pipe()
+        process = context.Process(target=_serve, args=(child_end, parent_end), daemon=True)
+        process.start()
+        child_end.close()
+        _pool.append((process, parent_end))
+    return _pool[:count]
+
+
 def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResult:
     """Run seeded replications of the test that ``config.kind`` pairs with.
 
     The result is a pure function of (config, levels, reps): replication r
     draws only from streams keyed by (master_seed, r).
     Failed replications are recorded, not fatal, unless they exceed 1%.
+    ``range(reps)`` is cut into one contiguous range per usable core; the
+    caller runs the first and this process's forked workers the others.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
@@ -255,14 +312,31 @@ def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResu
     if len(set(levels)) < len(levels):
         raise ConfigError(f"levels must be distinct, got {levels}")
 
-    # Keep the campaign's working memory resident.  glibc mmaps a block over
-    # 128 KiB, and freeing one of at most 32 MiB raises its mmap threshold to
-    # the block's size and its heap-trim threshold to twice that (mallopt(3)).
-    # After this block, 8x the (n, T, K + 1) panel and capped below 32 MiB, each
-    # replication's temporaries reuse resident heap pages instead of being
-    # trimmed and faulted in again.  Other allocators ignore it; no value changes.
-    np.empty(min(8 * config.n * config.T * (config.K + 1), 4_000_000))
-    records = [_run_one(config, r) for r in range(reps)]
+    workers = _workers(min(_cores(), reps) - 1)
+    cuts = [reps * i // (len(workers) + 1) for i in range(len(workers) + 2)]
+    jobs = list(zip(workers, cuts[1:], cuts[2:]))
+    try:
+        for (_, conn), start, stop in jobs:
+            try:
+                conn.send((config, start, stop))
+            except ConnectionError:     # a dead worker, whose recv raises EOFError
+                pass
+        parts = [_run_range(config, 0, cuts[1])]
+        for worker, start, stop in jobs:
+            try:
+                parts.append(worker[1].recv())
+            except (EOFError, ConnectionError):     # it died: run its range here
+                _pool.remove(worker)
+                parts.append(_run_range(config, start, stop))
+    except BaseException:       # an unread result would answer the next campaign
+        for process, _ in _pool:
+            process.terminate()
+        _pool.clear()
+        raise
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    records = [record for part in parts for record in part]
 
     failures = sum(r.failed for r in records)
     if failures > 0.01 * reps:

@@ -19,6 +19,7 @@ from panelvuong import (DgpConfig, ModelSpec, check_derivatives,
                         gaussian_fixed_scale, gaussian_full_scale,
                         individual_groups, run_replications, run_twfe_test,
                         summarize)
+from panelvuong import montecarlo
 from panelvuong.cli import main
 from test_families import sample_points
 
@@ -251,18 +252,26 @@ class TestCriterion10BiasContrast:
 
 
 class TestCriterion11Determinism:
-    def test_simulate_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_simulate_byte_identical_across_runs_and_workers(self, tmp_path, monkeypatch):
         args = ["simulate", "--kind", "A", "--n", "20", "--T", "16", "--G", "4",
                 "--K", "1", "--reps", "50", "--seed", "7", "--levels", "0.05,0.10"]
-        outputs = []
-        for name in ("r1", "r2"):
+
+        def simulate(name):
             out = tmp_path / name
             assert main(args + ["--out-dir", str(out)]) == 0
-            outputs.append(((out / "size_power.csv").read_bytes(),
-                            (out / "replications.jsonl").read_bytes()))
+            return ((out / "size_power.csv").read_bytes(),
+                    (out / "replications.jsonl").read_bytes())
+
+        outputs = [simulate("r1"), simulate("r2")]
         identical = outputs[0] == outputs[1]
         report(f"criterion 11 (determinism): byte-identical across reruns: {identical}")
         assert identical
+        # the same bytes serially and split over two processes: a core count of
+        # 2 forks a real worker even on a one-core host
+        for cores in (1, 2):
+            monkeypatch.setattr(montecarlo, "_cores", lambda count=cores: count)
+            assert simulate(f"cores{cores}") == outputs[0]
+        assert montecarlo._pool, "the two-core run forked no worker"
 
 
 class TestMonteCarloInvariants:

@@ -1,8 +1,10 @@
 """DGP determinism and the replication engine."""
 
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import textwrap
@@ -196,8 +198,13 @@ class TestRunReplications:
 
     @staticmethod
     def fail_once(monkeypatch, rep):
-        """Make the twfe test raise NoConvergence at replication ``rep`` only;
-        replications run in index order, so the call count is the index."""
+        """Make the twfe test raise NoConvergence at replication ``rep`` only.
+
+        The campaign is pinned to one core: a worker forked earlier never sees
+        this patch, and one forked under it would keep the flaky test for the
+        rest of the session.  One process runs the replications in index
+        order, so the call count is the index."""
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
         real, calls = montecarlo.run_twfe_test, []
 
         def flaky(panel, gmap):
@@ -229,10 +236,13 @@ class TestRunReplications:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the mmap and heap-trim thresholds are glibc's")
     def test_replications_do_not_fault_memory_in(self):
-        # a fresh process, as earlier tests may have moved this one's thresholds;
-        # without the campaign's threshold block a rep here took about 85 faults
-        script = textwrap.dedent("""
-            import resource
+        # a fresh process, as earlier tests may have moved this one's thresholds,
+        # pinned to one CPU, so that every replication runs in the measured
+        # process; without the campaign's threshold block a rep here took
+        # about 85 faults
+        out = _python("""
+            import os, resource
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
             from panelvuong import DgpConfig, run_replications
             config = DgpConfig(kind="C", n=100, T=100, G=10, K=1, master_seed=1)
             run_replications(config, reps=2)          # warm-up
@@ -240,11 +250,192 @@ class TestRunReplications:
             run_replications(config, reps=10)
             print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         """)
-        src = str(Path(montecarlo.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True).stdout
         assert float(out) < 5.0, out
+
+
+def _python(script: str) -> str:
+    """Standard output of ``script`` run by a fresh interpreter on this package."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          check=True, capture_output=True, text=True, timeout=120).stdout
+
+
+class TestWorkers:
+    """A campaign split between the caller and its forked worker gives the
+    serial campaign's records, whatever happens to the worker."""
+
+    @staticmethod
+    def jsonl(reps, cores, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+        return replications_jsonl(run_replications(cfg(), reps=reps))
+
+    @pytest.mark.parametrize("cores, reps", [(3, 7), (5, 2)])
+    def test_ranges_cover_every_rep_at_any_core_count(self, monkeypatch, cores, reps):
+        # at most one range per rep: 5 cores split 2 reps between 2 processes
+        serial = self.jsonl(reps, 1, monkeypatch)
+        assert self.jsonl(reps, cores, monkeypatch) == serial
+        assert len(montecarlo._pool) >= min(cores, reps) - 1
+
+    def test_worker_failures_are_recorded_in_rep_order(self):
+        # patched before the first campaign, so the worker forked by it fails
+        # too; a replication fails by its panel, not by a call count
+        out = _python("""
+            import json, os
+            from panelvuong import montecarlo
+            from panelvuong.errors import ConfigError, NoConvergence
+            config = montecarlo.DgpConfig(kind="A", n=12, T=10, G=3, K=1, master_seed=7)
+            failing = {float(montecarlo.generate(config, rep)[0].y[0, 0]) for rep in (30, 103)}
+            real, caller = montecarlo.run_twfe_test, os.getpid()
+
+            def flaky(panel, gmap):
+                if float(panel.y[0, 0]) in failing:
+                    raise NoConvergence("caller" if os.getpid() == caller else "worker")
+                return real(panel, gmap)
+
+            montecarlo.run_twfe_test, montecarlo._cores = flaky, lambda: 2
+            mc = montecarlo.run_replications(config, reps=200)
+            try:
+                montecarlo.run_replications(config, reps=50)
+            except ConfigError as exc:
+                fatal = str(exc)
+            print(json.dumps({
+                "reps": [r.rep for r in mc.records],
+                "errors": {r.rep: r.error for r in mc.records if r.failed},
+                "line": montecarlo.replications_jsonl(mc).splitlines()[103],
+                "fatal": fatal}))
+        """)
+        got = json.loads(out)
+        assert got["reps"] == list(range(200))
+        # reps 0-99 run in the caller and 100-199 in the worker; 2 of 200 is 1%
+        assert got["errors"] == {"30": "NoConvergence: caller", "103": "NoConvergence: worker"}
+        assert got["line"] == '{"rep": 103, "failed": true, "error": "NoConvergence: worker"}'
+        # of 50 reps, 25-49 run in the worker: its one failure is over 1%
+        assert got["fatal"] == "1/50 replications failed; first error: NoConvergence: worker"
+
+    def test_worker_exception_is_raised_in_the_caller(self):
+        # an error that is not a PanelVuongError is the caller's, wherever it
+        # happens; the second campaign shows that the pipe is still in step
+        out = _python("""
+            import os
+            from panelvuong import montecarlo
+            config = montecarlo.DgpConfig(kind="A", n=12, T=10, G=3, K=1, master_seed=7)
+            real, caller = montecarlo.run_twfe_test, os.getpid()
+
+            def broken(panel, gmap):
+                if os.getpid() != caller:
+                    raise ZeroDivisionError("in the worker")
+                return real(panel, gmap)
+
+            montecarlo.run_twfe_test, montecarlo._cores = broken, lambda: 2
+            for _ in range(2):
+                try:
+                    montecarlo.run_replications(config, reps=10)
+                except ZeroDivisionError as exc:
+                    print(exc, len(montecarlo._pool))
+        """)
+        assert out == "in the worker 1\nin the worker 1\n"
+
+    def test_caller_exception_leaves_no_result_behind(self, monkeypatch):
+        # the worker's result of an interrupted campaign is never read: the
+        # pool is dropped, or that result would answer the next campaign
+        serial = self.jsonl(20, 1, monkeypatch)
+        self.jsonl(20, 2, monkeypatch)          # a worker is running
+        real = montecarlo.run_twfe_test
+
+        def broken(panel, gmap):
+            raise RuntimeError("in the caller")
+
+        monkeypatch.setattr(montecarlo, "run_twfe_test", broken)
+        with pytest.raises(RuntimeError, match="in the caller"):
+            run_replications(cfg(master_seed=8), reps=20)
+        monkeypatch.setattr(montecarlo, "run_twfe_test", real)
+        assert self.jsonl(20, 2, monkeypatch) == serial
+
+    def test_worker_that_dies_mid_campaign_changes_no_byte(self):
+        # the worker exits inside its range; the caller runs that range itself
+        out = _python("""
+            import os
+            from panelvuong import montecarlo
+            config = montecarlo.DgpConfig(kind="A", n=12, T=10, G=3, K=1, master_seed=7)
+            montecarlo._cores = lambda: 1
+            serial = montecarlo.replications_jsonl(montecarlo.run_replications(config, reps=40))
+            real, caller = montecarlo.run_twfe_test, os.getpid()
+
+            def dying(panel, gmap):
+                if os.getpid() != caller:
+                    os._exit(3)
+                return real(panel, gmap)
+
+            montecarlo.run_twfe_test, montecarlo._cores = dying, lambda: 2
+            for _ in range(2):
+                mc = montecarlo.run_replications(config, reps=40)
+                print(montecarlo.replications_jsonl(mc) == serial, len(montecarlo._pool))
+        """)
+        # each campaign forks a worker that dies and is dropped
+        assert out == "True 0\nTrue 0\n"
+
+    def test_killed_worker_changes_no_byte(self, monkeypatch):
+        serial = self.jsonl(20, 1, monkeypatch)
+        assert self.jsonl(20, 2, monkeypatch) == serial
+        process, _ = montecarlo._pool[0]
+        os.kill(process.pid, signal.SIGKILL)    # our own child, between two campaigns
+        process.join(10)
+        assert not process.is_alive()
+        assert self.jsonl(20, 2, monkeypatch) == serial     # run by the caller alone
+        assert self.jsonl(20, 2, monkeypatch) == serial     # with a new worker
+        assert montecarlo._pool[0][0].is_alive() and montecarlo._pool[0][0] is not process
+
+    def test_daemonic_process_runs_serially(self, monkeypatch):
+        # a daemonic process may not start children: Process.start would assert
+        serial = self.jsonl(20, 1, monkeypatch)
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def campaign():
+            try:
+                send.send(replications_jsonl(run_replications(cfg(), reps=20)))
+            except BaseException as exc:
+                send.send(repr(exc))
+
+        process = context.Process(target=campaign, daemon=True)
+        process.start()
+        assert receive.poll(60)
+        assert receive.recv() == serial
+        process.join(10)
+        assert not process.is_alive()
+
+    def test_forked_child_starts_with_no_worker(self, monkeypatch):
+        # a child sending on its parent's pipes would race the parent for the
+        # worker's results
+        serial = self.jsonl(20, 2, monkeypatch)     # the parent's worker is running
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def campaign():
+            inherited = len(montecarlo._pool)
+            send.send((inherited, replications_jsonl(run_replications(cfg(), reps=20))))
+
+        process = context.Process(target=campaign)  # not daemonic: it forks its own worker
+        process.start()
+        assert receive.poll(60)
+        assert receive.recv() == (0, serial)
+        process.join(10)
+        assert not process.is_alive()
+        assert self.jsonl(20, 2, monkeypatch) == serial
+
+    def test_worker_ends_with_its_interpreter(self):
+        # multiprocessing's exit handler terminates and joins daemonic children,
+        # so a campaign leaves no process running behind it
+        pid = int(_python("""
+            from panelvuong import DgpConfig, montecarlo, run_replications
+            montecarlo._cores = lambda: 2
+            run_replications(DgpConfig(kind="A", n=12, T=10, G=3, K=1), reps=4)
+            print(montecarlo._pool[0][0].pid)
+        """))
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)         # signal 0 sends nothing: it asks whether pid exists
 
 
 class TestSummarize:
