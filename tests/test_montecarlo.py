@@ -386,43 +386,41 @@ class TestWorkers:
         assert self.jsonl(20, 2, monkeypatch) == serial     # with a new worker
         assert montecarlo._pool[0][0].is_alive() and montecarlo._pool[0][0] is not process
 
+    @staticmethod
+    def in_forked_child(campaign, daemon):
+        """What ``campaign()`` returns in a fork-context child, or its error's repr."""
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def run():
+            try:
+                send.send(campaign())
+            except BaseException as exc:
+                send.send(repr(exc))
+
+        process = context.Process(target=run, daemon=daemon)
+        process.start()
+        assert receive.poll(60)
+        result = receive.recv()
+        process.join(10)
+        assert not process.is_alive()
+        return result
+
     def test_daemonic_process_runs_serially(self, monkeypatch):
         # a daemonic process may not start children: Process.start would assert
         serial = self.jsonl(20, 1, monkeypatch)
         monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
-        context = multiprocessing.get_context("fork")
-        receive, send = context.Pipe(duplex=False)
-
-        def campaign():
-            try:
-                send.send(replications_jsonl(run_replications(cfg(), reps=20)))
-            except BaseException as exc:
-                send.send(repr(exc))
-
-        process = context.Process(target=campaign, daemon=True)
-        process.start()
-        assert receive.poll(60)
-        assert receive.recv() == serial
-        process.join(10)
-        assert not process.is_alive()
+        assert self.in_forked_child(
+            lambda: replications_jsonl(run_replications(cfg(), reps=20)), daemon=True) == serial
 
     def test_forked_child_starts_with_no_worker(self, monkeypatch):
         # a child sending on its parent's pipes would race the parent for the
-        # worker's results
+        # worker's results; a child that is not daemonic forks its own worker
         serial = self.jsonl(20, 2, monkeypatch)     # the parent's worker is running
-        context = multiprocessing.get_context("fork")
-        receive, send = context.Pipe(duplex=False)
-
-        def campaign():
-            inherited = len(montecarlo._pool)
-            send.send((inherited, replications_jsonl(run_replications(cfg(), reps=20))))
-
-        process = context.Process(target=campaign)  # not daemonic: it forks its own worker
-        process.start()
-        assert receive.poll(60)
-        assert receive.recv() == (0, serial)
-        process.join(10)
-        assert not process.is_alive()
+        assert self.in_forked_child(
+            lambda: (len(montecarlo._pool),
+                     replications_jsonl(run_replications(cfg(), reps=20))),
+            daemon=False) == (0, serial)
         assert self.jsonl(20, 2, monkeypatch) == serial
 
     def test_worker_ends_with_its_interpreter(self):
