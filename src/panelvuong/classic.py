@@ -94,16 +94,6 @@ def _residual_dof(n: int, T: int, d_theta: int, label: str = "model") -> int:
     return dof
 
 
-def _check_classic_specs(panel: PanelData, spec_1: ModelSpec, spec_2: ModelSpec) -> None:
-    if spec_1.gmap.G != panel.n:
-        raise GroupingViolation(
-            f"model 1 must give each unit its own group (G = n = {panel.n}), "
-            f"got G = {spec_1.gmap.G}")
-    for label, spec in (("model 1", spec_1), ("model 2", spec_2)):
-        if spec.family.dof_rescaled:
-            _residual_dof(panel.n, panel.T, spec.family.d_theta, label)
-
-
 def _unit_info(fit: FitResult) -> np.ndarray:
     """|Psi_gg| of each unit's own group (M = 1)."""
     info = np.abs(fit.info_gamma[:, 0])
@@ -249,16 +239,19 @@ def run_classic_test(panel: PanelData, spec_1: ModelSpec, spec_2: ModelSpec,
                      level: float = 0.05) -> TestReport:
     """Fit both models and run the two- and one-sided comparison.
 
-    Model 1 must assign each unit its own group; model 2 may use any known
-    grouping.  A positive statistic favors model 1.  The statistic carries
-    dof-rescaled bias corrections (:func:`dof_factor`; factor 1 for a family
-    without ``dof_rescaled``) and is standardized by the dof-rescaled
-    sigma2_u when both specs share a family (the report says so), by the
-    hybrid max rule otherwise.  When that variance is numerically zero
-    relative to the statistic the comparison is reported as degenerate and
-    no decision is made.
+    Model 1 must assign each unit its own group, else ``GroupingViolation`` is
+    raised after both fits; model 2 may use any known grouping.  A positive
+    statistic favors model 1.  The statistic carries dof-rescaled bias
+    corrections (:func:`dof_factor`; factor 1 for a family without
+    ``dof_rescaled``) and is standardized by the dof-rescaled sigma2_u when
+    both specs share a family (the report says so), by the hybrid max rule
+    otherwise.  When that variance is numerically zero relative to the
+    statistic the comparison is reported as degenerate and no decision is
+    made.
     """
-    _check_classic_specs(panel, spec_1, spec_2)
+    for label, spec in (("model 1", spec_1), ("model 2", spec_2)):
+        if spec.family.dof_rescaled:
+            _residual_dof(panel.n, panel.T, spec.family.d_theta, label)
     fit_1 = fit_model(panel, spec_1)
     fit_2 = fit_model(panel, spec_2)
     comp = classic_components(fit_1, fit_2)

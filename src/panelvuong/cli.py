@@ -173,9 +173,11 @@ def _write_report(report, args, *, digest=None, label_maps=None) -> None:
 
 
 def cmd_test(args) -> int:
-    group_col = args.group_col if args.subcommand == "twfe" else args.model2_group_col
-    schema = CsvSchema(unit_col=args.unit_col, time_col=args.time_col, y_col=args.y_col,
-                       x_cols=[c for c in args.x_cols.split(",") if c],
+    # stripped as load_csv strips the header, which they must match
+    group_col = (args.group_col if args.subcommand == "twfe" else args.model2_group_col).strip()
+    schema = CsvSchema(unit_col=args.unit_col.strip(), time_col=args.time_col.strip(),
+                       y_col=args.y_col.strip(),
+                       x_cols=[c for c in map(str.strip, args.x_cols.split(",")) if c],
                        group_cols=[group_col])
 
     panel, gmaps, label_maps = load_csv(args.input, schema)

@@ -42,7 +42,7 @@ class RankDeficient(PanelVuongError):
 
 
 class GroupingViolation(PanelVuongError):
-    """Model grouping incompatible with the test's requirements."""
+    """A group map that does not cover the panel, or a grouping the test does not allow."""
 
 
 class ConfigError(PanelVuongError):

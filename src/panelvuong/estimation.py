@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, RankDeficient, SingularInformation
+from .errors import (DomainError, GroupingViolation, NoConvergence, RankDeficient,
+                     SingularInformation)
 from .families import LikelihoodFamily, gaussian_fixed_scale, gaussian_full_scale
 from .panel import GroupMap, PanelData, TimeGroupMap, linear_index, single_block
 
@@ -90,10 +91,10 @@ def _within_theta(xdot: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_maps(panel: PanelData, gmap: GroupMap, mmap: TimeGroupMap | None = None) -> None:
-    """Raise ``RankDeficient`` unless the maps span the panel's units and periods."""
+    """Every fit's one coverage check: ``GroupingViolation`` unless the maps span the panel."""
     T = panel.T if mmap is None else mmap.T
     if gmap.n != panel.n or T != panel.T:
-        raise RankDeficient(f"group maps cover ({gmap.n}, {T}), panel is ({panel.n}, {panel.T})")
+        raise GroupingViolation(f"group maps cover ({gmap.n}, {T}), panel ({panel.n}, {panel.T})")
 
 
 class _Cells:
@@ -220,7 +221,7 @@ def fit_profile_mle(panel: PanelData, spec: ModelSpec) -> FitResult:
 
     Raises
     ------
-    RankDeficient
+    GroupingViolation
         If the spec's group maps do not cover the panel.
     DomainError
         If ``init_theta`` returns a shape other than ``(d_theta,)``.

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -304,9 +305,12 @@ def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResu
     ``range(reps)`` is cut into one contiguous range per usable core; the
     caller runs the first and this process's forked workers the others.
     """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    levels = tuple(float(p) for p in levels)
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
+    given = tuple(levels) if np.iterable(levels) else None
+    if given is None or not all(isinstance(p, numbers.Real) for p in given):
+        raise ConfigError(f"levels must be an iterable of real numbers, got {levels!r}")
+    levels = tuple(float(p) for p in given)
     if any(not 0.0 < p < 1.0 for p in levels) or not levels:
         raise ConfigError(f"levels must lie in (0, 1), got {levels}")
     if len(set(levels)) < len(levels):

@@ -109,8 +109,6 @@ def _sigma2_u(v1: np.ndarray, v2: np.ndarray, v12: np.ndarray,
 def run_twfe_test(panel: PanelData, gmap: GroupMap,
                   level: float = 0.05) -> TestReport:
     """Fit both linear models and run the comparison at the given level."""
-    if gmap.n != panel.n:
-        raise GroupingViolation(f"group map covers {gmap.n} units, panel has {panel.n}")
     comp = twfe_components(fit_grouped_time(panel, gmap), fit_twfe(panel))
 
     warnings = []

@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from panelvuong import GroupMap, PanelData, TimeGroupMap, make_panel
+
+# seeded like every other test: the same examples on each run, and no example
+# database written into the checkout; each test keeps its example count
+settings.register_profile("seeded", derandomize=True, database=None)
+settings.load_profile("seeded")
 
 
 def random_panel(rng: np.random.Generator, n: int, T: int, K: int,

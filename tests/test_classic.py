@@ -275,7 +275,7 @@ class TestRunClassicTest:
     def test_coarse_model1_rejected(self, rng):
         panel = random_panel(rng, 6, 5, 0)
         spec1 = ModelSpec(gaussian_fixed_scale(0), pooled_groups(6))
-        with pytest.raises(GroupingViolation):
+        with pytest.raises(GroupingViolation, match="model 1 must give each unit its own group"):
             run_classic_test(panel, spec1, spec1)
 
     def test_pvalues_match_statistic(self, rng):

@@ -335,6 +335,25 @@ class TestCmdTest:
             assert from_json[key].hex() == value.hex(), key
             assert float(from_csv[key]).hex() == value.hex(), key
 
+    def test_column_flags_stripped_like_header(self, tmp_path, rng, capsys):
+        # load_csv strips the header, so a flag's name is stripped to match it
+        path = tmp_path / "panel.csv"
+        lines = ["unit, time ,y,x1, x2,region"]
+        for i in range(6):
+            for t in range(5):
+                y, x1, x2 = map(float, rng.normal(size=3))
+                lines.append(f"u{i},{t},{y!r},{x1!r},{x2!r},g{i % 2}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reports = []
+        for x_cols, time_col, group_col in (("x1,x2", "time", "region"),
+                                            ("x1, x2", " time ", "region ")):
+            code = main(["test", "twfe", "--input", str(path), "--x-cols", x_cols,
+                         "--time-col", time_col, "--group-col", group_col])
+            out = capsys.readouterr()
+            assert code == 0, out.err
+            reports.append(out.out)
+        assert reports[0] == reports[1]
+
     def test_byte_order_mark_end_to_end(self, panel_csv, capsys):
         path, _, _ = panel_csv
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())

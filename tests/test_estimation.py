@@ -14,7 +14,7 @@ from panelvuong import estimation
 from panelvuong import (DgpConfig, LikelihoodFamily, ModelSpec, TimeGroupMap, block_groups,
                         fit_grouped_time, fit_linear_cells, fit_model, fit_profile_mle,
                         fit_twfe, gaussian_fixed_scale, gaussian_full_scale, generate,
-                        individual_groups, make_panel, run_twfe_test)
+                        individual_groups, make_panel, run_classic_test, run_twfe_test)
 from panelvuong.errors import (DomainError, GroupingViolation, NoConvergence,
                                RankDeficient, SingularInformation)
 from panelvuong.panel import GroupMap, single_block
@@ -700,14 +700,24 @@ class TestGroupMapsCoverPanel:
     """Every entry point that takes a panel and a group map rejects a map of
     another size with a typed error, not a numpy broadcast error."""
 
-    @pytest.mark.parametrize("call, error", [
-        (lambda panel, short: fit_linear_cells(panel, short), RankDeficient),
-        (lambda panel, short: fit_grouped_time(panel, short), RankDeficient),
-        (lambda panel, short: fit_profile_mle(
-            panel, ModelSpec(gaussian_full_scale(1), short)), RankDeficient),
-        (lambda panel, short: run_twfe_test(panel, short), GroupingViolation),
-    ], ids=["fit_linear_cells", "fit_grouped_time", "fit_profile_mle", "run_twfe_test"])
-    def test_short_map_rejected(self, rng, call, error):
+    @pytest.mark.parametrize("call", [
+        lambda panel, short: fit_linear_cells(panel, short),
+        lambda panel, short: fit_grouped_time(panel, short),
+        lambda panel, short: fit_profile_mle(panel, ModelSpec(gaussian_full_scale(1), short)),
+        lambda panel, short: run_twfe_test(panel, short),
+        lambda panel, short: fit_model(panel, ModelSpec(gaussian_fixed_scale(1), short)),
+        lambda panel, short: fit_model(panel, ModelSpec(
+            gaussian_fixed_scale(1), individual_groups(6), TimeGroupMap(codes=[0, 0, 1]))),
+        lambda panel, short: run_classic_test(
+            panel, ModelSpec(gaussian_fixed_scale(1), individual_groups(5)),
+            ModelSpec(gaussian_fixed_scale(1), block_groups(6, 2))),
+        lambda panel, short: run_classic_test(
+            panel, ModelSpec(gaussian_fixed_scale(1), individual_groups(6)),
+            ModelSpec(gaussian_fixed_scale(1), short)),
+    ], ids=["fit_linear_cells", "fit_grouped_time", "fit_profile_mle", "run_twfe_test",
+            "fit_model", "fit_model_time_map", "run_classic_test_model1",
+            "run_classic_test_model2"])
+    def test_short_map_rejected(self, rng, call):
         panel = random_panel(rng, 6, 4, 1)
-        with pytest.raises(error, match="covers? "):
+        with pytest.raises(GroupingViolation, match="covers? "):
             call(panel, block_groups(5, 2))

@@ -185,16 +185,23 @@ class TestRunReplications:
         assert [r.mqlr for r in mc1.records] == [r.mqlr for r in mc2.records]
         assert [r.rep for r in mc1.records] == list(range(20))
 
-    def test_bad_reps(self):
-        with pytest.raises(ConfigError):
-            run_replications(cfg(), reps=0)
+    # a bool is refused as DgpConfig refuses one, not run as 1 replication
+    @pytest.mark.parametrize("reps", [0, 2.0, 3.5, True, "3", None])
+    def test_bad_reps(self, reps):
+        with pytest.raises(ConfigError, match="reps must be an integer"):
+            run_replications(cfg(), reps=reps)
 
-    def test_bad_levels(self):
-        with pytest.raises(ConfigError):
-            run_replications(cfg(), levels=(0.0,), reps=2)
+    @pytest.mark.parametrize("levels, match", [
+        ((0.0,), "lie in"),
         # a repeated level would write its size/power rows twice
-        with pytest.raises(ConfigError, match="distinct"):
-            run_replications(cfg(), levels=(0.05, 0.05), reps=2)
+        ((0.05, 0.05), "distinct"),
+        (0.05, "iterable of real numbers"),
+        ("0.05", "iterable of real numbers"),
+        ([None], "iterable of real numbers"),
+    ])
+    def test_bad_levels(self, levels, match):
+        with pytest.raises(ConfigError, match=match):
+            run_replications(cfg(), levels=levels, reps=2)
 
     @staticmethod
     def fail_once(monkeypatch, rep):
