@@ -43,11 +43,24 @@ from .families import gaussian_fixed_scale
 from .panel import GroupMap, PanelData, individual_groups, linear_index, make_panel
 from .rng import GENERATOR_VERSION, normals, stream
 from .report import TestReport, rejects
-from .stats import binomial_se, ks_distance
+from .stats import binomial_se
 from .twfe import run_twfe_test
 
 KINDS = ("A", "B", "C", "D", "E")
 _TEST_FOR_KIND = {"A": "twfe", "B": "twfe", "C": "classic", "D": "classic", "E": "twfe"}
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Refuse all but an ``int`` or ``np.integer`` (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int or fraction beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -65,19 +78,16 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown DGP kind {self.kind!r}; choose from {KINDS}")
-        for name in ("n", "T", "G", "K", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.n < 2 or self.T < 2:
-            raise ConfigError(f"need n >= 2 and T >= 2, got n={self.n}, T={self.T}")
-        if not 1 <= self.G <= self.n:
-            raise ConfigError(f"need 1 <= G <= n, got G={self.G}, n={self.n}")
+        for name, minimum in (("n", 2), ("T", 2), ("G", 1), ("K", 0), ("master_seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
+        if self.G > self.n:
+            raise ConfigError(f"need G <= n, got G={self.G}, n={self.n}")
         for name in ("noise", "kappa", "c"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not _finite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.noise <= 0:
             raise ConfigError(f"noise must be positive, got {self.noise}")
         if self.kappa < 0:
@@ -89,9 +99,7 @@ class DgpConfig:
                               f"got kappa={self.kappa}")
         if self.c > 0 and self.kind != "E":
             raise ConfigError(f"kind {self.kind} ignores c (read by kind E), got c={self.c}")
-        if self.K < 0:
-            raise ConfigError(f"K must be nonnegative, got {self.K}")
-        if not np.isfinite(self.signal):
+        if not _finite(self.signal):
             raise ConfigError(f"effective signal scale of kind {self.kind} must be "
                               f"finite, got {self.signal}")
 
@@ -123,9 +131,7 @@ def block_groups(n: int, G: int) -> GroupMap:
 def generate(config: DgpConfig, rep_index: int) -> tuple[PanelData, GroupMap]:
     """One replication's panel and its group map; one :func:`normals` call draws
     every stream the kind reads, and each stream's draws are a view of its result."""
-    if isinstance(rep_index, bool) or not isinstance(rep_index, (int, np.integer)) \
-            or rep_index < 0:
-        raise ConfigError(f"replication index must be a nonnegative integer, got {rep_index!r}")
+    _check_integer("replication index", rep_index, 0)
     n, T, G, K = config.n, config.T, config.G, config.K
     gmap = block_groups(n, G)
     signal = config.signal
@@ -305,8 +311,7 @@ def run_replications(config: DgpConfig, levels=(0.05,), reps: int = 1) -> McResu
     ``range(reps)`` is cut into one contiguous range per usable core; the
     caller runs the first and this process's forked workers the others.
     """
-    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
+    _check_integer("reps", reps, 1)
     given = tuple(levels) if np.iterable(levels) else None
     if given is None or not all(isinstance(p, numbers.Real) for p in given):
         raise ConfigError(f"levels must be an iterable of real numbers, got {levels!r}")
@@ -363,31 +368,17 @@ class SizePowerRow:
 class Summary:
     config: DgpConfig
     rows: list[SizePowerRow]
-    mean_statistic: float
-    sd_statistic: float
-    mean_raw_statistic: float
-    ks_normal: float
     degenerate_count: int
 
 
 def summarize(mc: McResult) -> Summary:
-    """Size/power rows per (level, side) plus normality diagnostics."""
-    valid = mc.valid_records()      # one filter pass serves every row and moment
+    """Size/power rows per (level, side): what ``size_power.csv`` writes."""
+    valid = mc.valid_records()      # one filter pass serves every row
     if not valid:
         raise Empty("cannot summarize an empty result")
     rows = [SizePowerRow(level, side, *_rejection_rate(valid, level, side))
             for level in mc.levels for side in ("two", "one")]
-    stats = np.array([r.statistic for r in valid])
-    raw = np.array([r.raw_statistic for r in valid])
-    return Summary(
-        config=mc.config,
-        rows=rows,
-        mean_statistic=float(stats.mean()),
-        sd_statistic=float(stats.std(ddof=1)) if stats.size > 1 else 0.0,
-        mean_raw_statistic=float(raw.mean()),
-        ks_normal=ks_distance(stats),
-        degenerate_count=mc.degenerate_count,
-    )
+    return Summary(config=mc.config, rows=rows, degenerate_count=mc.degenerate_count)
 
 
 def size_power_csv(summary: Summary) -> str:

@@ -43,16 +43,11 @@ def uniforms_open(gen: np.random.Generator, size) -> np.ndarray:
     return gen.integers(1, _TWO53, size=size).astype(float) / _TWO53
 
 
-def normals(gen, size) -> np.ndarray:
-    """Standard-normal draws via the shared inverse CDF.
-
-    ``normals(gen, shape)`` draws one stream into an array of that shape.
-    ``normals(gens, counts)`` draws ``counts[i]`` uniforms from each
-    ``gens[i]`` and returns every stream's draws, in order, as one flat array
-    from a single quantile pass.  The quantile works elementwise, so that
-    array is bit for bit the concatenation of the one-stream draws.
+def normals(gens, counts) -> np.ndarray:
+    """Standard-normal draws via the shared inverse CDF: ``counts[i]``
+    uniforms from each ``gens[i]``, returned in order as one flat array from
+    a single quantile pass.  The quantile works elementwise, so each stream's
+    slice is bit for bit what that stream would give alone.
     """
-    if isinstance(gen, np.random.Generator):
-        return normal_quantile(uniforms_open(gen, size))
     return normal_quantile(np.concatenate(
-        [uniforms_open(g, count) for g, count in zip(gen, size, strict=True)]))
+        [uniforms_open(g, count) for g, count in zip(gens, counts, strict=True)]))

@@ -1,4 +1,4 @@
-"""Standard-normal CDF/quantile and small sample diagnostics.
+"""Standard-normal quantile, critical values and the binomial standard error.
 
 The quantile is Wichura's AS241 (Applied Statistics 37, 1988; the algorithm
 behind Python's ``statistics.NormalDist.inv_cdf``): one degree-7/7 rational
@@ -11,39 +11,17 @@ place, so every result keeps a fixed per-element order of operations and does
 not depend on which other values share the call (``tests/test_rng.py`` pins
 digests of draws, quantiles and campaigns).
 
-The CDF is the standard library's ``math.erfc`` applied elementwise; it
-serves KS distances and the local-power curve, and ``report.decide`` takes
-its p-values from ``math.erfc`` directly, as upper tails.  No draw, campaign
-byte or decision depends on it: decisions compare against
-:func:`critical_values`.
+Decisions compare against :func:`critical_values`, and ``report.decide``
+takes its p-values from ``math.erfc`` directly, as upper tails.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .errors import NonFinite, OutOfRange
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def erfc(x):
-    """Complementary error function, elementwise by ``math.erfc``: relative
-    error below 1e-13 against scipy, NaN propagates, erfc(+inf) = 0 and
-    erfc(-inf) = 2."""
-    x = np.asarray(x, dtype=float)
-    out = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def normal_cdf(z):
-    """Standard normal CDF as 0.5 * erfc(-z / sqrt(2)), accurate to relative
-    1e-13 on both tails (the rounding of z / sqrt(2) sets that limit); NaN
-    propagates, +inf maps to 1 and -inf to 0."""
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
+from .errors import OutOfRange
 
 
 # Wichura's AS241 (Applied Statistics 37, 1988), the algorithm behind
@@ -144,22 +122,6 @@ def critical_values(level: float) -> tuple[float, float]:
     replication.  They come from the lower tail: ``1 - level`` would cancel
     digits, and rounds to 1.0 once level is 1e-16 or below."""
     return -normal_quantile(level / 2.0), -normal_quantile(level)
-
-
-def ks_distance(sample) -> float:
-    """Kolmogorov-Smirnov distance between a sample and the standard normal.
-
-    Raises :class:`OutOfRange` on an empty sample and :class:`NonFinite` on a
-    NaN; +-inf points are allowed."""
-    s = np.sort(np.asarray(sample, dtype=float))
-    m = s.size
-    if m == 0:
-        raise OutOfRange("ks_distance requires a nonempty sample")
-    if np.isnan(s[-1]):     # NaN sorts last
-        raise NonFinite("ks_distance sample contains NaN")
-    cdf = normal_cdf(s)
-    grid = np.arange(1, m + 1) / m
-    return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / m))))
 
 
 def binomial_se(rate: float, count: int) -> float:

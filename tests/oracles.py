@@ -12,13 +12,16 @@ require the same arrays, label maps and errors from both.
 
 :func:`foc_residuals` recomputes a fit's first-order conditions from its
 family, and :func:`local_power_curve` is the limiting power that the
-local-alternative campaign is compared with.
+local-alternative campaign is compared with.  :func:`null_moments` gives the
+centring and normality diagnostics the acceptance campaigns are judged by,
+which no campaign output writes.
 """
 
 import csv
 from pathlib import Path
 
 import numpy as np
+from scipy import stats as sstats
 
 from panelvuong.classic import dof_factor
 from panelvuong.cli import CsvSchema
@@ -27,7 +30,7 @@ from panelvuong.errors import (GroupDrift, GroupingViolation, ParseError,
 from panelvuong.estimation import FitResult
 from panelvuong.panel import (GroupMap, PanelData, groups_from_labels,
                               make_panel)
-from panelvuong.stats import critical_values, normal_cdf
+from panelvuong.stats import critical_values
 
 
 def _unit_info(fit: FitResult) -> np.ndarray:
@@ -322,4 +325,14 @@ def foc_residuals(panel: PanelData, fit: FitResult) -> tuple[float, float]:
 
 def local_power_curve(c: float, level: float = 0.05) -> float:
     """Limiting one-sided rejection rate at standardized drift c."""
-    return float(1.0 - normal_cdf(critical_values(level)[1] - c))
+    return float(sstats.norm.sf(critical_values(level)[1] - c))
+
+
+def null_moments(mc) -> tuple[float, float, float]:
+    """(mean statistic, mean uncorrected statistic, KS distance of the
+    statistic from the standard normal) over a campaign's valid replications."""
+    valid = mc.valid_records()
+    stats = np.array([r.statistic for r in valid])
+    raw = np.array([r.raw_statistic for r in valid])
+    ks = sstats.kstest(stats, "norm").statistic
+    return float(stats.mean()), float(raw.mean()), float(ks)

@@ -12,13 +12,12 @@ import pytest
 
 from conftest import (blocks_from_sizes, dummy_ols_cells, dummy_ols_twfe, random_groups,
                       random_panel)
-from oracles import foc_residuals, local_power_curve
+from oracles import foc_residuals, local_power_curve, null_moments
 from panelvuong import (DgpConfig, ModelSpec, check_derivatives,
                         classic_components, fit_grouped_time, fit_linear_cells,
                         fit_model, fit_profile_mle, fit_twfe,
                         gaussian_fixed_scale, gaussian_full_scale,
-                        individual_groups, run_replications, run_twfe_test,
-                        summarize)
+                        individual_groups, run_replications, run_twfe_test)
 from panelvuong import montecarlo
 from panelvuong.cli import main
 from test_families import sample_points
@@ -214,7 +213,7 @@ class TestCriterion08LocalPower:
                                master_seed=SEED_LOCAL)
             mc = run_replications(config, reps=R_LOCAL)
             rate, _, _ = mc.rejection_rate(0.05, "one")
-            c_hat = summarize(mc).mean_statistic
+            c_hat = null_moments(mc)[0]
             gaps[c] = abs(rate - local_power_curve(c_hat, 0.05))
         report(f"criterion 8 (local power, c in (0,1,2), R={R_LOCAL} each): "
                f"|rate - (1 - Phi(z_0.95 - c_hat))| = "
@@ -226,8 +225,8 @@ class TestCriterion09Normality:
     def test_ks_distance_under_both_nulls(self, mc_twfe_null_100,
                                           mc_classic_null_100):
         threshold = 1.63 / np.sqrt(R_SIZE) * 1.5
-        ks = {"twfe": summarize(mc_twfe_null_100).ks_normal,
-              "classic": summarize(mc_classic_null_100).ks_normal}
+        ks = {"twfe": null_moments(mc_twfe_null_100)[2],
+              "classic": null_moments(mc_classic_null_100)[2]}
         report(f"criterion 9 (normality, R={R_SIZE}): KS distances "
                f"{ {k: round(v, 4) for k, v in ks.items()} } "
                f"(threshold {threshold:.4f})")
@@ -240,15 +239,15 @@ class TestCriterion10BiasContrast:
                               ("mc_classic_null_50", "kind C")])
     def test_corrected_centered_uncorrected_not(self, request, fixture_name, label):
         mc = request.getfixturevalue(fixture_name)
-        s = summarize(mc)
+        mean, mean_raw, _ = null_moments(mc)
         center_bound = 3.0 / np.sqrt(R_SIZE)
         raw_bound = 5.0 / np.sqrt(R_SIZE)
         report(f"criterion 10 (bias contrast, {label}, n=T=50, R={R_SIZE}): "
-               f"|mean corrected stat| {abs(s.mean_statistic):.4f} "
+               f"|mean corrected stat| {abs(mean):.4f} "
                f"(bound {center_bound:.4f}); |mean uncorrected| "
-               f"{abs(s.mean_raw_statistic):.2f} (must exceed {raw_bound:.4f})")
-        assert abs(s.mean_statistic) <= center_bound
-        assert abs(s.mean_raw_statistic) > raw_bound
+               f"{abs(mean_raw):.2f} (must exceed {raw_bound:.4f})")
+        assert abs(mean) <= center_bound
+        assert abs(mean_raw) > raw_bound
 
 
 class TestCriterion11Determinism:
@@ -280,8 +279,8 @@ class TestMonteCarloInvariants:
     def test_mean_statistic_centered_at_100(self, mc_twfe_null_100,
                                             mc_classic_null_100):
         bound = 3.0 / np.sqrt(R_SIZE)
-        means = {"twfe": summarize(mc_twfe_null_100).mean_statistic,
-                 "classic": summarize(mc_classic_null_100).mean_statistic}
+        means = {"twfe": null_moments(mc_twfe_null_100)[0],
+                 "classic": null_moments(mc_classic_null_100)[0]}
         assert all(abs(m) <= bound for m in means.values()), means
 
     def test_mqlr_variance_matches_mean_omega2(self, mc_twfe_null_100,

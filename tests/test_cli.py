@@ -529,7 +529,7 @@ class TestCmdSimulate:
         code = main(["simulate", "--kind", "A", "--n", "10", "--T", "8", "--G", "2",
                      "--reps", "2", "--seed", "-1", "--out-dir", str(tmp_path / "x")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: master_seed must be nonnegative")
+        assert capsys.readouterr().err.startswith("error: master_seed must be an integer >= 0")
 
     def test_negative_c_exit_1(self, tmp_path, capsys):
         code = main(["simulate", "--kind", "E", "--n", "10", "--T", "8", "--G", "2",

@@ -46,7 +46,10 @@ class TestConfig:
                                      dict(kind="B", kappa=1e200, noise=1e200),
                                      # a signal the kind ignores would run the null
                                      dict(kind="A", kappa=0.5), dict(kind="C", c=2.0),
-                                     dict(kind="E", kappa=0.5), dict(kind="D", c=1.0)])
+                                     dict(kind="E", kappa=0.5), dict(kind="D", c=1.0),
+                                     # ints beyond the float range
+                                     dict(noise=10 ** 400),
+                                     dict(kind="B", kappa=10 ** 300, noise=10 ** 300)])
     def test_invalid_dimensions(self, bad):
         with pytest.raises(ConfigError):
             cfg(**bad)
@@ -59,9 +62,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             cfg(**bad)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("noise", dict(noise="a")), ("noise", dict(noise=None)),
+        ("noise", dict(noise=1 + 0j)), ("kappa", dict(kind="B", kappa=True)),
+        ("c", dict(kind="E", c=np.True_)), ("kappa", dict(kind="D", kappa=[0.5]))])
+    def test_non_real_signal_fields(self, field, bad):
+        # numpy's TypeError used to escape, and a bool ran as 1.0
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            cfg(**bad)
+
     def test_negative_seed(self):
         # SeedSequence takes nonnegative entropy only
-        with pytest.raises(ConfigError, match="master_seed must be nonnegative"):
+        with pytest.raises(ConfigError, match="master_seed must be an integer >= 0"):
             cfg(master_seed=-1)
 
     def test_numpy_integers_accepted(self):

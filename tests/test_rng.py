@@ -7,27 +7,32 @@ import pytest
 
 from panelvuong.cli import main
 from panelvuong.rng import normals, stream, uniforms_open
-from panelvuong.stats import normal_cdf, normal_quantile
+from panelvuong.stats import normal_quantile
+
+
+def _normals(gen, shape) -> np.ndarray:
+    """One stream's draws through ``normals``, in the given shape."""
+    return normals([gen], [int(np.prod(shape))]).reshape(shape)
 
 
 class TestStreams:
     def test_same_key_identical(self):
-        a = normals(stream(7, 3, "noise"), (50, 4))
-        b = normals(stream(7, 3, "noise"), (50, 4))
+        a = _normals(stream(7, 3, "noise"), (50, 4))
+        b = _normals(stream(7, 3, "noise"), (50, 4))
         assert np.array_equal(a, b)
 
     def test_reps_independent_of_draw_order(self):
         # drawing rep 5 before rep 2 changes nothing
-        r5_first = normals(stream(7, 5, "noise"), 100)
-        _ = normals(stream(7, 2, "noise"), 100)
-        r5_again = normals(stream(7, 5, "noise"), 100)
+        r5_first = _normals(stream(7, 5, "noise"), 100)
+        _ = _normals(stream(7, 2, "noise"), 100)
+        r5_again = _normals(stream(7, 5, "noise"), 100)
         assert np.array_equal(r5_first, r5_again)
 
     def test_distinct_keys_differ(self):
-        base = normals(stream(7, 0, "noise"), 100)
-        assert not np.array_equal(base, normals(stream(8, 0, "noise"), 100))
-        assert not np.array_equal(base, normals(stream(7, 1, "noise"), 100))
-        assert not np.array_equal(base, normals(stream(7, 0, "covariates"), 100))
+        base = _normals(stream(7, 0, "noise"), 100)
+        assert not np.array_equal(base, _normals(stream(8, 0, "noise"), 100))
+        assert not np.array_equal(base, _normals(stream(7, 1, "noise"), 100))
+        assert not np.array_equal(base, _normals(stream(7, 0, "covariates"), 100))
 
     def test_uniforms_strictly_inside(self):
         u = uniforms_open(stream(1, 0, "noise"), 100000)
@@ -35,7 +40,7 @@ class TestStreams:
         assert u.max() < 1.0
 
     def test_normals_moments(self):
-        z = normals(stream(11, 0, "noise"), 200000)
+        z = _normals(stream(11, 0, "noise"), 200000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
@@ -58,16 +63,10 @@ def _quantile_grid() -> np.ndarray:
     ])
 
 
-def _cdf_grid() -> np.ndarray:
-    edges = np.array([0.46875, 4.0]) * np.sqrt(2.0)
-    return np.concatenate([np.linspace(-40.0, 10.0, 5001), edges, -edges, [0.0]])
-
-
 # sha256 digests of generator version 2 (rng.GENERATOR_VERSION, the AS241
-# quantile), recorded on x86-64 with numpy 2.4.  GOLDEN_CDF pins normal_cdf,
-# which is math.erfc elementwise, so it pins x86-64 glibc's erfc; no draw
-# depends on it.  Any change to a draw digest changes simulated panels, and so
-# every Monte Carlo evidence line; it must come with a new generator version.
+# quantile), recorded on x86-64 with numpy 2.4.  Any change to a draw digest
+# changes simulated panels, and so every Monte Carlo evidence line; it must
+# come with a new generator version.
 GOLDEN_NORMALS = {
     (7, 3, "noise", (100, 100)):
         "6429c16151e0c5531944ef6c18187b3df26864eaf1d64c52c25f7ba8657abbf6",
@@ -79,7 +78,6 @@ GOLDEN_NORMALS = {
         "6f41c0758153c6b008a6e4368250a986260896f2a4df2e8f05fdf03d5963988b",
 }
 GOLDEN_QUANTILE = "3a3b7ca7aacfb756cd0e7362a289810f8a12b42df4a11f1a079179cc871e567b"
-GOLDEN_CDF = "15288119e5b0d537ae068ac7e3eabb9fe217459b3c1c68b940bce07d4f3839b3"
 # Campaign pins: n=20, T=10, G=4, 20 reps, seed 11, levels 0.05 and 0.1.  Each
 # id names the kind, K (1 unless marked) and any signal; together they cover
 # every stream layout that generate() reads: K = 0 (no covariates stream), 1
@@ -121,23 +119,22 @@ class TestGoldenBits:
                              ids=lambda k: f"{k[2]}-{k[0]}-{k[1]}")
     def test_normals(self, key):
         seed, rep, name, shape = key
-        assert _digest(normals(stream(seed, rep, name), shape)) == GOLDEN_NORMALS[key]
+        assert _digest(_normals(stream(seed, rep, name), shape)) == GOLDEN_NORMALS[key]
 
     def test_streams_in_one_call_are_the_one_stream_draws(self):
         keys = list(GOLDEN_NORMALS)
         counts = [int(np.prod(shape)) for *_, shape in keys]
         flat = normals([stream(seed, rep, name) for seed, rep, name, _ in keys], counts)
-        alone = [normals(stream(seed, rep, name), shape) for seed, rep, name, shape in keys]
-        assert np.array_equal(flat, np.concatenate([z.ravel() for z in alone]))
+        # each stream alone, by the quantile of its own uniforms
+        alone = [normal_quantile(uniforms_open(stream(seed, rep, name), count))
+                 for (seed, rep, name, _), count in zip(keys, counts)]
+        assert np.array_equal(flat, np.concatenate(alone))
         parts = np.split(flat, np.cumsum(counts)[:-1])
         assert [_digest(z.reshape(key[3])) for z, key in zip(parts, keys)] == \
             list(GOLDEN_NORMALS.values())
 
     def test_normal_quantile_grid(self):
         assert _digest(normal_quantile(_quantile_grid())) == GOLDEN_QUANTILE
-
-    def test_normal_cdf_grid(self):
-        assert _digest(normal_cdf(_cdf_grid())) == GOLDEN_CDF
 
     @pytest.mark.parametrize("case", list(GOLDEN_CAMPAIGNS))
     def test_campaign_bytes(self, case, tmp_path):
