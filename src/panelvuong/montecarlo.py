@@ -56,13 +56,6 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _finite(value: numbers.Real) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:       # an int or fraction beyond the float range
-        return False
-
-
 @dataclass(frozen=True)
 class DgpConfig:
     kind: str
@@ -86,8 +79,13 @@ class DgpConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-            if not _finite(value):
+            try:
+                number = float(value)
+            except OverflowError:       # an int or fraction beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
                 raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, number)     # a Fraction or np.float64 as a float
         if self.noise <= 0:
             raise ConfigError(f"noise must be positive, got {self.noise}")
         if self.kappa < 0:
@@ -99,7 +97,7 @@ class DgpConfig:
                               f"got kappa={self.kappa}")
         if self.c > 0 and self.kind != "E":
             raise ConfigError(f"kind {self.kind} ignores c (read by kind E), got c={self.c}")
-        if not _finite(self.signal):
+        if not math.isfinite(self.signal):
             raise ConfigError(f"effective signal scale of kind {self.kind} must be "
                               f"finite, got {self.signal}")
 
@@ -203,9 +201,6 @@ class McResult:
     def reps(self) -> int:
         return len(self.records)
 
-    def valid_records(self) -> list[RepRecord]:
-        return [r for r in self.records if not r.failed and not r.degenerate]
-
     @property
     def degenerate_count(self) -> int:
         return sum(r.degenerate for r in self.records)
@@ -213,24 +208,6 @@ class McResult:
     @property
     def failure_count(self) -> int:
         return sum(r.failed for r in self.records)
-
-    def rejection_rate(self, level: float, side: str) -> tuple[float, float, int]:
-        """(rate, binomial SE, effective count) excluding degenerate reps;
-        ``side`` is "two" or "one"."""
-        return _rejection_rate(self.valid_records(), level, side)
-
-
-def _rejection_rate(valid: list[RepRecord], level: float,
-                    side: str) -> tuple[float, float, int]:
-    if side not in ("two", "one"):
-        raise ConfigError(f"side must be 'two' or 'one', got {side!r}")
-    pick = 0 if side == "two" else 1
-    flags = [rejects(r.statistic, level)[pick] for r in valid]
-    count = len(flags)
-    if count == 0:
-        raise Empty("no valid replications to aggregate")
-    rate = float(np.mean(flags))
-    return rate, binomial_se(rate, count), count
 
 
 def _run_one(config: DgpConfig, rep_index: int) -> RepRecord:
@@ -373,11 +350,15 @@ class Summary:
 
 def summarize(mc: McResult) -> Summary:
     """Size/power rows per (level, side): what ``size_power.csv`` writes."""
-    valid = mc.valid_records()      # one filter pass serves every row
-    if not valid:
+    statistics = [r.statistic for r in mc.records if r.statistic is not None]
+    if not statistics:
         raise Empty("cannot summarize an empty result")
-    rows = [SizePowerRow(level, side, *_rejection_rate(valid, level, side))
-            for level in mc.levels for side in ("two", "one")]
+    count, rows = len(statistics), []
+    for level in mc.levels:     # one rejects call per replication decides both sides
+        two, one = zip(*(rejects(s, level) for s in statistics))
+        for side, flags in (("two", two), ("one", one)):
+            rate = float(np.mean(flags))
+            rows.append(SizePowerRow(level, side, rate, binomial_se(rate, count), count))
     return Summary(config=mc.config, rows=rows, degenerate_count=mc.degenerate_count)
 
 

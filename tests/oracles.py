@@ -14,7 +14,8 @@ require the same arrays, label maps and errors from both.
 family, and :func:`local_power_curve` is the limiting power that the
 local-alternative campaign is compared with.  :func:`null_moments` gives the
 centring and normality diagnostics the acceptance campaigns are judged by,
-which no campaign output writes.
+which no campaign output writes; :func:`size_power_row` reads a rate from
+:func:`panelvuong.summarize`, the rows ``size_power.csv`` writes.
 """
 
 import csv
@@ -28,6 +29,7 @@ from panelvuong.cli import CsvSchema
 from panelvuong.errors import (GroupDrift, GroupingViolation, ParseError,
                                SingularInformation, Unbalanced)
 from panelvuong.estimation import FitResult
+from panelvuong.montecarlo import SizePowerRow, summarize
 from panelvuong.panel import (GroupMap, PanelData, groups_from_labels,
                               make_panel)
 from panelvuong.stats import critical_values
@@ -331,8 +333,14 @@ def local_power_curve(c: float, level: float = 0.05) -> float:
 def null_moments(mc) -> tuple[float, float, float]:
     """(mean statistic, mean uncorrected statistic, KS distance of the
     statistic from the standard normal) over a campaign's valid replications."""
-    valid = mc.valid_records()
+    valid = [r for r in mc.records if r.statistic is not None]
     stats = np.array([r.statistic for r in valid])
     raw = np.array([r.raw_statistic for r in valid])
     ks = sstats.kstest(stats, "norm").statistic
     return float(stats.mean()), float(raw.mean()), float(ks)
+
+
+def size_power_row(mc, level: float, side: str) -> SizePowerRow:
+    """The (level, side) row of ``summarize(mc)``: rate, SE and valid count."""
+    row, = [r for r in summarize(mc).rows if (r.level, r.side) == (level, side)]
+    return row

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (blocks_from_sizes, dummy_ols_cells, dummy_ols_twfe, random_groups,
                       random_panel)
-from oracles import foc_residuals, local_power_curve, null_moments
+from oracles import foc_residuals, local_power_curve, null_moments, size_power_row
 from panelvuong import (DgpConfig, ModelSpec, check_derivatives,
                         classic_components, fit_grouped_time, fit_linear_cells,
                         fit_model, fit_profile_mle, fit_twfe,
@@ -177,20 +177,20 @@ class TestCriterion04Positivity:
 
 class TestCriterion05ClassicSize:
     def test_two_sided_rejection_in_band(self, mc_classic_null_100):
-        rate, se, count = mc_classic_null_100.rejection_rate(0.05, "two")
+        row = size_power_row(mc_classic_null_100, 0.05, "two")
         report(f"criterion 5 (classic size, kind C, n=T=100, G=10, R={R_SIZE}): "
-               f"two-sided rate {rate:.4f} (se {se:.4f}, {count} valid reps), "
+               f"two-sided rate {row.rate:.4f} (se {row.se:.4f}, {row.reps} valid reps), "
                f"band [0.03, 0.07]")
-        assert 0.03 <= rate <= 0.07
+        assert 0.03 <= row.rate <= 0.07
 
 
 class TestCriterion06TwfeSize:
     def test_two_sided_rejection_in_band(self, mc_twfe_null_100):
-        rate, se, count = mc_twfe_null_100.rejection_rate(0.05, "two")
+        row = size_power_row(mc_twfe_null_100, 0.05, "two")
         report(f"criterion 6 (twfe size, kind A, n=T=100, G=10, R={R_SIZE}): "
-               f"two-sided rate {rate:.4f} (se {se:.4f}, {count} valid reps), "
+               f"two-sided rate {row.rate:.4f} (se {row.se:.4f}, {row.reps} valid reps), "
                f"band [0.03, 0.07]")
-        assert 0.03 <= rate <= 0.07
+        assert 0.03 <= row.rate <= 0.07
 
 
 class TestCriterion07Power:
@@ -199,7 +199,7 @@ class TestCriterion07Power:
         config = DgpConfig(kind=kind, n=100, T=100, G=10, K=1, kappa=0.5,
                            master_seed=SEED_POWER)
         mc = run_replications(config, reps=R_POWER)
-        rate, _, _ = mc.rejection_rate(0.05, "one")
+        rate = size_power_row(mc, 0.05, "one").rate
         report(f"criterion 7 (power, kind {kind}, kappa=0.5, R={R_POWER}): "
                f"one-sided rate {rate:.4f} (need >= 0.9)")
         assert rate >= 0.9
@@ -212,7 +212,7 @@ class TestCriterion08LocalPower:
             config = DgpConfig(kind="E", n=100, T=100, G=10, K=1, c=c,
                                master_seed=SEED_LOCAL)
             mc = run_replications(config, reps=R_LOCAL)
-            rate, _, _ = mc.rejection_rate(0.05, "one")
+            rate = size_power_row(mc, 0.05, "one").rate
             c_hat = null_moments(mc)[0]
             gaps[c] = abs(rate - local_power_curve(c_hat, 0.05))
         report(f"criterion 8 (local power, c in (0,1,2), R={R_LOCAL} each): "
@@ -286,7 +286,7 @@ class TestMonteCarloInvariants:
     def test_mqlr_variance_matches_mean_omega2(self, mc_twfe_null_100,
                                                mc_classic_null_100):
         for mc in (mc_twfe_null_100, mc_classic_null_100):
-            valid = mc.valid_records()
+            valid = [r for r in mc.records if r.statistic is not None]
             var = float(np.var([r.mqlr for r in valid], ddof=1))
             mean_omega2 = float(np.mean([r.omega2 for r in valid]))
             assert abs(var - mean_omega2) / mean_omega2 <= 0.25

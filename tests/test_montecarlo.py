@@ -8,12 +8,13 @@ import signal
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import local_power_curve
+from oracles import local_power_curve, size_power_row
 from panelvuong import (DgpConfig, ModelSpec, gaussian_fixed_scale, generate,
                         individual_groups, run_classic_test, run_replications,
                         run_twfe_test, summarize)
@@ -70,6 +71,17 @@ class TestConfig:
         # numpy's TypeError used to escape, and a bool ran as 1.0
         with pytest.raises(ConfigError, match=f"{field} must be a real number"):
             cfg(**bad)
+
+    def test_real_fields_stored_as_floats(self):
+        # a Fraction noise failed every replication as NonFinite, and a numpy
+        # kappa wrote np.float64(0.5) into the kappa column of size_power.csv
+        config = cfg(noise=Fraction(1, 2), kind="B", kappa=np.float64(0.5), c=0)
+        assert [type(v) for v in (config.noise, config.kappa, config.c)] == [float] * 3
+        mc = run_replications(config, reps=3, levels=(0.05, 0.1))
+        assert mc.failure_count == 0
+        same = run_replications(cfg(noise=0.5, kind="B", kappa=0.5), reps=3, levels=(0.05, 0.1))
+        assert size_power_csv(summarize(mc)) == size_power_csv(summarize(same))
+        assert replications_jsonl(mc) == replications_jsonl(same)
 
     def test_negative_seed(self):
         # SeedSequence takes nonnegative entropy only
@@ -474,13 +486,6 @@ class TestSummarize:
         assert summary.rows[0].rate == 1.0
         assert summary.degenerate_count == 1
 
-    @pytest.mark.parametrize("side", ["tow", "both"])
-    def test_unknown_side_refused(self, side):
-        records = [RepRecord(rep=0, mqlr=5.0, omega2=1.0, qlr=5.0, statistic=5.0)]
-        mc = McResult(config=cfg(), levels=(0.05,), records=records)
-        with pytest.raises(ConfigError, match="side"):
-            mc.rejection_rate(0.05, side)
-
     def test_empty_raises(self):
         mc = McResult(config=cfg(), levels=(0.05,), records=[])
         with pytest.raises(Empty):
@@ -490,9 +495,7 @@ class TestSummarize:
         # drift increases with c, up to Monte Carlo noise
         lo = run_replications(cfg(kind="E", n=24, T=24, G=4, c=0.0), reps=60)
         hi = run_replications(cfg(kind="E", n=24, T=24, G=4, c=3.0), reps=60)
-        rate_lo = lo.rejection_rate(0.05, "one")[0]
-        rate_hi = hi.rejection_rate(0.05, "one")[0]
-        assert rate_hi > rate_lo
+        assert size_power_row(hi, 0.05, "one").rate > size_power_row(lo, 0.05, "one").rate
 
     def test_power_monotone_in_kappa(self):
         # one-sided rejection nondecreasing in the signal, up to a 2 SE band
@@ -500,9 +503,9 @@ class TestSummarize:
         for kappa in (0.0, 0.25, 0.5):
             mc = run_replications(cfg(kind="B", n=30, T=30, G=3, kappa=kappa),
                                   reps=80)
-            rate, se, _ = mc.rejection_rate(0.05, "one")
-            rates.append(rate)
-            ses.append(se)
+            row = size_power_row(mc, 0.05, "one")
+            rates.append(row.rate)
+            ses.append(row.se)
         for k in range(2):
             assert rates[k + 1] >= rates[k] - 2.0 * max(ses[k], ses[k + 1])
 
@@ -518,6 +521,25 @@ class TestWriters:
         lines = text.strip().split("\n")
         assert lines[0].startswith("kind,n,T,G")
         assert len(lines) == 1 + 4   # two levels x two sides
+
+    @pytest.mark.parametrize("kind", ["A", "C"])
+    def test_csv_counts_the_jsonl_lines(self, kind):
+        # per level and side, a size_power.csv row counts the replications.jsonl
+        # lines that decided: reps of them, rate * reps rejecting
+        levels = (0.01, 0.05, 0.1)
+        mc = run_replications(cfg(kind=kind), levels=levels, reps=30)
+        mc.records += [RepRecord(rep=30, mqlr=0.0, omega2=0.0, qlr=0.0),
+                       RepRecord(rep=31, error="NonFinite: statistic is not finite")]
+        lines = [json.loads(line) for line in replications_jsonl(mc).splitlines()]
+        decided = [obj for obj in lines if "failed" not in obj and not obj["degenerate"]]
+        degenerate = sum("failed" not in obj and obj["degenerate"] for obj in lines)
+        header, *rows = [line.split(",") for line in size_power_csv(summarize(mc)).splitlines()]
+        assert len(rows) == 2 * len(levels)
+        for row in (dict(zip(header, row, strict=True)) for row in rows):
+            flags = [obj[f"reject_{row['side']}"][row["level"]] for obj in decided]
+            assert int(row["reps"]) == len(flags) == 30
+            assert float(row["rate"]) * len(flags) == pytest.approx(sum(flags), abs=1e-9)
+            assert int(row["degenerate_count"]) == degenerate == 1
 
     def test_jsonl_roundtrip(self):
         mc = run_replications(cfg(), reps=3)

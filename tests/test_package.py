@@ -36,6 +36,12 @@ def test_every_exported_name_is_in_the_readme():
     assert not missing
 
 
+def test_readme_counts_the_exported_names():
+    readme = README.read_text(encoding="utf-8")
+    stated = re.findall(r"`panelvuong\.__all__` holds the (\d+) names", readme)
+    assert [int(n) for n in stated] == [len(panelvuong.__all__)]
+
+
 def test_readme_states_the_solver_budgets():
     readme = README.read_text(encoding="utf-8")
     for name in ("TOL", "MAX_ITER", "INNER_TOL", "MAX_HALVINGS"):
